@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .core import DimensionError, ReluNetwork, evaluate_batch, metrics
+from .core import DimensionError, ReluNetwork, apply_layer, evaluate_batch, metrics
 
 BREAK_MERGE_TOL = 1e-12
 
@@ -56,27 +56,24 @@ class PwlFunction:
 
 
 def _relu_pass(grid: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Insert zero crossings of each coordinate into the grid, then clip."""
-    crossings = []
-    for col in range(vals.shape[1]):
-        v = vals[:, col]
-        sign_change = (v[:-1] < 0) & (v[1:] > 0) | (v[:-1] > 0) & (v[1:] < 0)
-        idx = np.nonzero(sign_change)[0]
-        if idx.size:
-            x0, x1 = grid[idx], grid[idx + 1]
-            v0, v1 = v[idx], v[idx + 1]
-            crossings.append(x0 + (x1 - x0) * (v0 / (v0 - v1)))
-    if crossings:
-        extra = np.concatenate(crossings)
-        merged = np.union1d(grid, extra)
+    """Insert zero crossings of each neuron into the grid, then clip.
+
+    vals holds one row per neuron and one column per grid point.
+    """
+    v0, v1 = vals[:, :-1], vals[:, 1:]
+    rows, idx = np.nonzero((v0 < 0) & (v1 > 0) | (v0 > 0) & (v1 < 0))
+    if idx.size:
+        v0, v1 = v0[rows, idx], v1[rows, idx]
+        x0, x1 = grid[idx], grid[idx + 1]
+        merged = np.union1d(grid, x0 + (x1 - x0) * (v0 / (v0 - v1)))
         # drop points closer than the merge tolerance to an existing one
         keep = np.empty(merged.shape, dtype=bool)
         keep[0] = True
         keep[1:] = np.diff(merged) > BREAK_MERGE_TOL
         merged = merged[keep]
-        new_vals = np.empty((merged.size, vals.shape[1]))
-        for col in range(vals.shape[1]):
-            new_vals[:, col] = np.interp(merged, grid, vals[:, col])
+        new_vals = np.empty((vals.shape[0], merged.size))
+        for new_row, row in zip(new_vals, vals):
+            new_row[:] = np.interp(merged, grid, row)
         grid, vals = merged, new_vals
     return grid, np.maximum(vals, 0.0)
 
@@ -86,7 +83,8 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
 
     Breakpoints are propagated layer by layer: each neuron's preactivation is
     linear between current breakpoints, and its zero crossings become new
-    breakpoints before the ReLU clip.
+    breakpoints before the ReLU clip.  Preactivations are computed with the
+    same arithmetic as evaluate_batch.
     """
     if net.in_dim != 1 or net.out_dim != 1:
         raise DimensionError("exact piecewise form needs a 1-D network")
@@ -94,12 +92,12 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
     grid = np.array([a, b])
-    layer_vals = grid.reshape(-1, 1)
+    vals = grid.reshape(1, -1)
     for i, layer in enumerate(net.layers):
-        layer_vals = layer_vals @ layer.matrix.T + layer.bias
+        vals = apply_layer(layer, vals)
         if i < net.depth - 1:
-            grid, layer_vals = _relu_pass(grid, layer_vals)
-    out = layer_vals[:, 0]
+            grid, vals = _relu_pass(grid, vals)
+    out = vals[0]
     slopes = np.diff(out) / np.diff(grid)
     return PwlFunction(grid, out, float(slopes[0]), float(slopes[-1]))
 
@@ -109,10 +107,8 @@ def count_linear_regions(
 ) -> tuple[int, int]:
     """Number of maximal linearity intervals on [a, b], together with the
     structural bound (2 * width) ** depth that every network respects."""
-    pwl = exact_pwl(net, interval)
-    stats = metrics(net)
-    bound = (2 * stats.width) ** stats.depth
-    count = pwl.piece_count()
+    bound = region_bound(net)
+    count = exact_pwl(net, interval).piece_count()
     if count > bound:
         raise AssertionError(
             f"region count {count} exceeds structural bound {bound}"
@@ -160,7 +156,8 @@ def _normalize_domain(domain) -> list[tuple[float, float]]:
     return boxes
 
 
-def _eval_grid(net: ReluNetwork, domain, grid_n: int):
+def _uniform_axes(net: ReluNetwork, domain, grid_n: int):
+    """The checked boxes of a domain and grid_n evenly spaced values on each."""
     boxes = _normalize_domain(domain)
     if grid_n < 2:
         raise ValueError("need at least two grid points per axis")
@@ -168,13 +165,21 @@ def _eval_grid(net: ReluNetwork, domain, grid_n: int):
         raise DimensionError(
             f"domain has {len(boxes)} axes, network expects {net.in_dim}"
         )
-    axes = [np.linspace(lo, hi, grid_n) for lo, hi in boxes]
+    return boxes, [np.linspace(lo, hi, grid_n) for lo, hi in boxes]
+
+
+def _mesh_points(axes) -> np.ndarray:
+    """All points of the tensor grid over the axes, one per row."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def _eval_grid(net: ReluNetwork, domain, grid_n: int):
+    boxes, axes = _uniform_axes(net, domain, grid_n)
     if len(boxes) == 1 and net.out_dim == 1:
         bp = exact_pwl(net, boxes[0]).breakpoints
         axes[0] = np.union1d(axes[0], bp)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    return boxes, axes, pts
+    return boxes, axes, _mesh_points(axes)
 
 
 def _quad_weights(axes) -> np.ndarray:
@@ -211,14 +216,6 @@ def error_report(
         l2_error=l2,
         argmax=tuple(float(x) for x in pts[sup_idx]),
     )
-
-
-def sup_error(net, reference, domain, grid_n: int) -> ErrorReport:
-    return error_report(net, reference, domain, grid_n)
-
-
-def l2_error(net, reference, domain, grid_n: int) -> ErrorReport:
-    return error_report(net, reference, domain, grid_n)
 
 
 # --- free-knot piece counting ----------------------------------------------------
@@ -362,16 +359,21 @@ def asymptotic_piece_constant(
 
 
 def cover_interval(eps: float) -> np.ndarray:
-    """Centers -1 + 2*(i-1)*eps, i = 1..floor(1/eps)+1, covering [-1, 1]."""
+    """Centers -1 + 2*(i-1)*eps, i = 1..floor(1/eps)+1, plus the endpoint 1
+    when the last of them lies more than eps below it: every point of [-1, 1]
+    lies within eps of one of at most floor(1/eps) + 2 centers."""
     if not 0.0 < eps < 1.0:
         raise ValueError("radius must lie in (0, 1)")
     count = math.floor(1.0 / eps) + 1
     centers = -1.0 + 2.0 * eps * np.arange(count)
-    # every point of [-1, 1] lies within eps of a center
-    assert count <= 1.0 / eps + 1.0
-    assert centers[0] - (-1.0) <= eps + 1e-12
-    assert 1.0 - centers[-1] <= eps + 1e-12
-    assert np.all(np.diff(centers) <= 2.0 * eps + 1e-12)
+    if 1.0 - centers[-1] > eps + 1e-12:
+        centers = np.append(centers, 1.0)
+    if not (
+        centers[0] - (-1.0) <= eps + 1e-12
+        and 1.0 - centers[-1] <= eps + 1e-12
+        and np.all(np.diff(centers) <= 2.0 * eps + 1e-12)
+    ):
+        raise AssertionError(f"centers for radius {eps} do not cover [-1, 1]")
     return centers
 
 
@@ -397,7 +399,8 @@ def pack_exp_family(eps: float) -> np.ndarray:
     out = np.asarray(thetas)
     # class values at x = 1 are eps * i, so all pairs are eps-separated
     vals = 1.0 - np.exp(-out)
-    assert np.all(np.diff(vals) >= eps - 1e-12)
+    if np.any(np.diff(vals) < eps - 1e-12):
+        raise AssertionError(f"packing for separation {eps} is not separated")
     return out
 
 

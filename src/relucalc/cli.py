@@ -59,7 +59,8 @@ def _grid_default() -> int:
 
 
 class _Spec:
-    """One registered constructor: how to build it and what it approximates."""
+    """One registered constructor: how to build it, what it approximates, and
+    the domain (a function of eps) on which its error is measured."""
 
     def __init__(self, build, reference=None, domain=None, dim=1):
         self.build = build
@@ -68,55 +69,61 @@ class _Spec:
         self.dim = dim
 
 
+def _gaussian_box(dim: int, eps: float) -> list[tuple[float, float]]:
+    """The support box [-R-1, R+1]^dim of gaussian_network, widened by 1."""
+    radius = max(1, math.ceil(math.log2(1.0 / eps)))
+    return [(-radius - 2.0, radius + 2.0)] * dim
+
+
 def _registry(args) -> dict[str, _Spec]:
     d = args.D
     return {
         "square": _Spec(
             lambda eps: square_network(eps),
             reference=lambda x: x * x,
-            domain=(0.0, 1.0),
+            domain=lambda eps: (0.0, 1.0),
         ),
         "sawtooth": _Spec(lambda eps: sawtooth_network(args.s)),
         "multiply": _Spec(
             lambda eps: multiply_network(d, eps),
             reference=lambda x, y: x * y,
-            domain=[(-d, d), (-d, d)],
+            domain=lambda eps: [(-d, d), (-d, d)],
             dim=2,
         ),
         "cosine": _Spec(
             lambda eps: cosine_network(args.a, d, eps),
             reference=lambda x: math.cos(args.a * x),
-            domain=(-d, d),
+            domain=lambda eps: (-d, d),
         ),
         "cosine_shifted": _Spec(
             lambda eps: cosine_shifted_network(args.a, args.b, d, eps),
             reference=lambda x: math.cos(args.a * x - args.b),
-            domain=(-d, d),
+            domain=lambda eps: (-d, d),
         ),
         "sine": _Spec(
             lambda eps: sine_network(args.a, d, eps),
             reference=lambda x: math.sin(args.a * x),
-            domain=(-d, d),
+            domain=lambda eps: (-d, d),
         ),
         "bspline": _Spec(
             lambda eps: bspline_network(args.m, eps),
             reference=lambda x: cardinal_bspline(args.m, x),
-            domain=(-2.0, args.m + 2.0),
+            domain=lambda eps: (-2.0, args.m + 2.0),
         ),
         "wavelet": _Spec(
             lambda eps: spline_wavelet_network(args.m, eps),
             reference=lambda x: spline_wavelet_reference(args.m, x),
-            domain=(0.0, 2.0 * args.m - 1.0),
+            domain=lambda eps: (0.0, 2.0 * args.m - 1.0),
         ),
         "weierstrass": _Spec(
             lambda eps: weierstrass_network(args.p, args.a, d, eps),
             reference=lambda x: weierstrass_reference(args.p, args.a, x),
-            domain=(-d, d),
+            domain=lambda eps: (-d, d),
         ),
         "gaussian": _Spec(
             lambda eps: gaussian_network(args.m, eps),
-            reference=None,  # filled per eps in sweep
-            domain=None,
+            reference=lambda *xs: math.exp(-sum(v * v for v in xs)),
+            domain=lambda eps: _gaussian_box(args.m, eps),
             dim=args.m,
         ),
         "haar": _Spec(lambda eps: haar_element_network(args.s, args.k, eps)),
@@ -173,7 +180,7 @@ def cmd_sweep(args) -> int:
         print("empty tolerance list", file=sys.stderr)
         return EXIT_USAGE
     spec = registry[args.constructor]
-    if spec.reference is None and args.constructor != "gaussian":
+    if spec.reference is None:
         print(
             f"constructor '{args.constructor}' has no sweep reference",
             file=sys.stderr,
@@ -181,6 +188,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     lines = ["eps,sup_error,connectivity,depth,width,magnitude"]
     status = 0
+    grid_n = _sweep_grid(spec.dim, args.grid)
     for eps in args.eps_list:
         try:
             net = spec.build(eps)
@@ -190,17 +198,7 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        if args.constructor == "gaussian":
-            radius = max(1, math.ceil(math.log2(1.0 / eps)))
-            domain = [(-radius - 2.0, radius + 2.0)] * args.m
-
-            def reference(*xy):
-                return math.exp(-sum(v * v for v in xy))
-
-        else:
-            domain, reference = spec.domain, spec.reference
-        grid_n = _sweep_grid(spec.dim, args.grid)
-        report = analysis.sup_error(net, reference, domain, grid_n)
+        report = analysis.error_report(net, spec.reference, spec.domain(eps), grid_n)
         m = metrics(net)
         lines.append(
             f"{_fmt(eps)},{_fmt(report.sup_error)},{m.connectivity},"
@@ -220,6 +218,14 @@ def cmd_codec(args) -> int:
     except (OSError, NetworkFormatError) as exc:
         print(f"cannot read network: {exc}", file=sys.stderr)
         return EXIT_DATA
+    grid_n = 101 if net.in_dim > 1 else min(args.grid, 20_001)
+    try:
+        _, axes = analysis._uniform_axes(
+            net, [(-args.D, args.D)] * net.in_dim, grid_n
+        )
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         quant, m = quantcode.quantize_network(net, args.k, args.D, args.eps)
         bits = quantcode.encode(quant, m, args.eps)
@@ -239,10 +245,7 @@ def cmd_codec(args) -> int:
             ):
                 ok = False
                 break
-    grid_n = 101 if net.in_dim > 1 else min(args.grid, 20_001)
-    axes = [np.linspace(-args.D, args.D, grid_n)] * net.in_dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([v.ravel() for v in mesh])
+    pts = analysis._mesh_points(axes)
     deviation = float(
         np.max(
             np.abs(evaluate_batch(quant, pts) - evaluate_batch(net, pts))

@@ -19,8 +19,6 @@ from .smooth import (
     smooth_network_general,
     stitch_networks,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 from .trig import cosine_network, cosine_shifted_network, sine_network
 from .splines import (
     bspline_network,
@@ -40,3 +38,5 @@ from .textures import (
     weierstrass_reference,
     weierstrass_terms,
 )
+
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from ..calculus import (
+    _pad_all,
     affine_network,
     compose,
     identity_network,
@@ -136,15 +137,6 @@ def multiply_network(half_width: float, eps: float) -> ReluNetwork:
     return compose(scalar_mult_network(d * d, 1), core)
 
 
-def _parallel_padded(nets) -> ReluNetwork:
-    depth = max(n.depth for n in nets)
-    from ..calculus import extend_depth
-
-    return parallelize(
-        [n if n.depth == depth else extend_depth(n, depth) for n in nets]
-    )
-
-
 def _poly_step(coeff: float, bound: float, eta: float) -> ReluNetwork:
     """One stage (x, s, y) -> (x, s + a*y, mult(x, y)) of the polynomial chain."""
     fan_out = ReluNetwork(
@@ -155,12 +147,9 @@ def _poly_step(coeff: float, bound: float, eta: float) -> ReluNetwork:
             ),
         )
     )
-    accumulate = _parallel_padded(
-        [
-            identity_network(1),
-            affine_network([[1.0, coeff]], [0.0]),
-            identity_network(1),
-        ]
+    ident = identity_network(1)
+    accumulate = parallelize(
+        _pad_all([ident, affine_network([[1.0, coeff]], [0.0]), ident])
     )
     duplicate = ReluNetwork(
         (
@@ -170,12 +159,8 @@ def _poly_step(coeff: float, bound: float, eta: float) -> ReluNetwork:
             ),
         )
     )
-    multiply_stage = _parallel_padded(
-        [
-            identity_network(1),
-            identity_network(1),
-            multiply_network(bound, eta),
-        ]
+    multiply_stage = parallelize(
+        _pad_all([ident, ident, multiply_network(bound, eta)])
     )
     return compose(
         multiply_stage, compose(duplicate, compose(accumulate, fan_out))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 
 from ..calculus import (
+    _pad_all,
     compose,
     identity_network,
     parallelize,
@@ -87,22 +88,19 @@ def weierstrass_network(
     n_terms = weierstrass_terms(eps)
 
     def block(k: int) -> ReluNetwork:
+        """(x, y, s) -> (x, p^k cos(a^k pi y), s), identity channels padded."""
         osc = cosine_network(a ** k * math.pi, d, eps / 4.0)
-        return scale_output(osc, p ** k)
+        ident = identity_network(1)
+        return parallelize(_pad_all([ident, scale_output(osc, p ** k), ident]))
 
     # (x) -> (x, cos-block 0, 0)
     fan = ReluNetwork(
         (AffineLayer([[1.0], [1.0], [0.0]], [0.0, 0.0, 0.0]),)
     )
-    net = compose(_parallel_block(block(0)), fan)
+    net = compose(block(0), fan)
     shuffle = ReluNetwork((AffineLayer(CHANNEL_SHUFFLE, [0.0, 0.0, 0.0]),))
     for k in range(1, n_terms + 1):
-        net = compose(_parallel_block(block(k)), compose(shuffle, net))
+        net = compose(block(k), compose(shuffle, net))
     collect = ReluNetwork((AffineLayer([[0.0, 1.0, 1.0]], [0.0]),))
     return compose(collect, net)
 
-
-def _parallel_block(middle: ReluNetwork) -> ReluNetwork:
-    """(x, y, s) -> (x, middle(y), s) with identity channels padded to depth."""
-    ident = identity_network(1, middle.depth) if middle.depth > 1 else identity_network(1)
-    return parallelize([ident, middle, ident])

@@ -118,45 +118,15 @@ class NetworkMetrics:
     weight_magnitude: float
 
 
-try:  # compiled kernel; falls back to the numpy loop with identical results
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
-
-if _njit is not None:
-
-    @_njit(cache=True)
-    def _layer_kernel_t(xs_t, mat, bias, out_t):  # pragma: no cover - compiled
-        d_in, n = xs_t.shape
-        d_out = mat.shape[0]
-        for i in range(d_out):
-            for r in range(n):
-                out_t[i, r] = 0.0
-        for j in range(d_in):
-            for i in range(d_out):
-                w = mat[i, j]
-                for r in range(n):
-                    t = xs_t[j, r] * w
-                    out_t[i, r] = out_t[i, r] + t
-        for i in range(d_out):
-            b = bias[i]
-            for r in range(n):
-                out_t[i, r] = out_t[i, r] + b
-
-
-def _apply_layer_batch_t(layer: AffineLayer, xs_t: np.ndarray) -> np.ndarray:
+def apply_layer(layer: AffineLayer, xs_t: np.ndarray) -> np.ndarray:
+    """One affine layer on points stored as columns: (in_dim, n) -> (out_dim, n)."""
     # Column-sequential accumulation with the bias added last:
     # out[i, r] = (sum_j A[i, j] * xs[j, r]) + b[i], j strictly left to right.
     # Several constructions rely on term-by-term cancellation of identical
     # column contributions, so the accumulation order is part of the
-    # evaluation contract; the compiled kernel and the numpy fallback perform
-    # the same IEEE operations in the same order.
-    n = xs_t.shape[1]
+    # evaluation contract; evaluate_batch and exact_pwl both go through here.
     a = layer.matrix
-    out_t = np.empty((a.shape[0], n))
-    if _njit is not None:
-        _layer_kernel_t(xs_t, a, layer.bias, out_t)
-        return out_t
+    out_t = np.empty((a.shape[0], xs_t.shape[1]))
     out_t.fill(0.0)
     buf = np.empty_like(out_t)
     for j in range(a.shape[1]):
@@ -173,10 +143,10 @@ def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
         raise DimensionError(
             f"input has {xs.shape[1]} coordinates, network expects {net.in_dim}"
         )
-    out_t = _apply_layer_batch_t(net.layers[0], np.ascontiguousarray(xs.T))
+    out_t = apply_layer(net.layers[0], np.ascontiguousarray(xs.T))
     for layer in net.layers[1:]:
         np.maximum(out_t, 0.0, out=out_t)
-        out_t = _apply_layer_batch_t(layer, out_t)
+        out_t = apply_layer(layer, out_t)
     return np.ascontiguousarray(out_t.T)
 
 

@@ -154,8 +154,8 @@ def quantize_network(
     """
     if k < 1:
         raise QuantizationError("k must be a positive integer")
-    grid_probe = QuantGrid(1, eps)  # validates eps
-    del grid_probe
+    m = quantization_resolution(net, k, domain_half_width)
+    grid = QuantGrid(m, eps)  # validates eps before it is raised to -k
     cap = float(eps) ** -k
     stats = metrics(net)
     problems = []
@@ -168,8 +168,6 @@ def quantize_network(
         raise QuantizationError(
             "; ".join(problems) + f"; smallest admissible k is {k_min}"
         )
-    m = quantization_resolution(net, k, domain_half_width)
-    grid = QuantGrid(m, eps)
     layers = []
     for layer in net.layers:
         mat = np.array(
@@ -337,9 +335,7 @@ def _size_width(connectivity: int) -> int:
     return max(1, _ceil_log2_int(connectivity))
 
 
-def encode(
-    net: ReluNetwork, m: int, eps: float, bits_per_weight: int | None = None
-) -> BitString:
+def encode(net: ReluNetwork, m: int, eps: float) -> BitString:
     """Serialize a non-degenerate network with lattice weights to bits.
 
     Layout: unary connectivity; depth; layer dimensions; per non-output node
@@ -348,7 +344,7 @@ def encode(
     offset-binary lattice index.
     """
     grid = QuantGrid(m, eps)
-    width_b = grid.bits_per_weight if bits_per_weight is None else bits_per_weight
+    width_b = grid.bits_per_weight
     stats = metrics(net)
     big_m = stats.connectivity
     out = BitString()
@@ -417,12 +413,10 @@ def encode(
     return out
 
 
-def decode(
-    bits: BitString, m: int, eps: float, bits_per_weight: int | None = None
-) -> ReluNetwork | None:
+def decode(bits: BitString, m: int, eps: float) -> ReluNetwork | None:
     """Invert encode; returns None for the connectivity-zero sentinel."""
     grid = QuantGrid(m, eps)
-    width_b = grid.bits_per_weight if bits_per_weight is None else bits_per_weight
+    width_b = grid.bits_per_weight
     pos = 0
 
     def take(width: int) -> int:

@@ -191,3 +191,16 @@ def test_polynomial_error_bound(seed):
     xs = np.linspace(-d, d, 257)
     want = np.polyval(coeffs[::-1], xs)
     assert np.max(np.abs(grid_eval(net, xs) - want)) <= eps + 1e-12
+
+
+def test_star_import_exports_every_constructor():
+    import inspect
+
+    import relucalc.constructors as package
+
+    public = {
+        name
+        for name, value in vars(package).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public <= set(package.__all__)

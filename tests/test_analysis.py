@@ -11,16 +11,19 @@ from relucalc.analysis import (
     count_linear_regions,
     cover_exp_family,
     cover_interval,
+    error_report,
     exact_pwl,
-    l2_error,
     min_pieces,
     minimax_line_error,
     pack_exp_family,
     pack_interval,
     region_bound,
-    sup_error,
 )
-from relucalc.constructors import sawtooth_network, square_interpolant_network
+from relucalc.constructors import (
+    gaussian_network,
+    sawtooth_network,
+    square_interpolant_network,
+)
 from conftest import random_net
 
 
@@ -54,6 +57,18 @@ def test_pwl_matches_evaluate(hat_net):
         xs = rng.uniform(-2.0, 2.0, size=10_000)
         want = evaluate_batch(net, xs.reshape(-1, 1))[:, 0]
         assert np.max(np.abs(pwl(xs) - want)) <= 1e-9
+
+
+def test_pwl_matches_evaluate_on_plateau_gate():
+    # gaussian_network is gated to exact zero outside [-5, 5] at eps = 0.1
+    net = gaussian_network(1, 0.1)
+    pwl = exact_pwl(net, (-6.0, 6.0))
+    xs = np.random.default_rng(3).uniform(-6.0, 6.0, size=5_000)
+    got = pwl(xs)
+    want = evaluate_batch(net, xs.reshape(-1, 1))[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-12
+    outside = np.abs(xs) > 5.0
+    assert np.all(got[outside] == 0.0) and np.all(want[outside] == 0.0)
 
 
 def test_pwl_rejects_multidim():
@@ -93,23 +108,23 @@ def test_random_nets_respect_region_bound():
 
 def test_sup_error_zero_for_self(hat_net):
     pwl = exact_pwl(hat_net, (0.0, 1.0))
-    report = sup_error(hat_net, pwl, (0.0, 1.0), 101)
+    report = error_report(hat_net, pwl, (0.0, 1.0), 101)
     assert report.sup_error <= 1e-12
 
 
 def test_sup_error_square_tightness():
     net = square_interpolant_network(1)
-    report = sup_error(net, lambda x: x * x, (0.0, 1.0), 1001)
+    report = error_report(net, lambda x: x * x, (0.0, 1.0), 1001)
     assert abs(report.sup_error - 1.0 / 16.0) <= 1e-12
 
 
 def test_sup_error_outside_support(hat_net):
-    report = sup_error(hat_net, lambda x: 0.0, (2.0, 3.0), 101)
+    report = error_report(hat_net, lambda x: 0.0, (2.0, 3.0), 101)
     assert report.sup_error == 0.0
 
 
 def test_error_report_csv_round_trip(hat_net):
-    report = sup_error(hat_net, lambda x: 0.0, (0.0, 1.0), 11)
+    report = error_report(hat_net, lambda x: 0.0, (0.0, 1.0), 11)
     row = report.csv_row()
     assert len(row.split(",")) == 6
 
@@ -117,7 +132,7 @@ def test_error_report_csv_round_trip(hat_net):
 def test_l2_error_2d():
     # product trapezoid weights on a 2-D box
     net = network([([[1.0, 1.0]], [0.0])])
-    report = l2_error(net, lambda x, y: 0.0, [(0.0, 1.0), (0.0, 1.0)], 41)
+    report = error_report(net, lambda x, y: 0.0, [(0.0, 1.0), (0.0, 1.0)], 41)
     # integral of (x+y)^2 over the unit square is 7/6
     assert abs(report.l2_error - math.sqrt(7.0 / 6.0)) <= 2e-3
 
@@ -224,6 +239,17 @@ def test_cover_interval_covers():
         xs = np.linspace(-1, 1, 2001)
         dist = np.min(np.abs(xs[:, None] - centers[None, :]), axis=1)
         assert dist.max() <= eps + 1e-12
+
+
+@given(st.floats(1e-3, 1.0, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_cover_interval_covers_any_radius(eps):
+    centers = cover_interval(eps)
+    assert len(centers) <= math.floor(1.0 / eps) + 2
+    xs = np.linspace(-1.0, 1.0, 20_001)
+    pos = np.clip(np.searchsorted(centers, xs), 1, len(centers) - 1)
+    dist = np.minimum(np.abs(xs - centers[pos - 1]), np.abs(xs - centers[pos]))
+    assert dist.max() <= eps + 1e-12
 
 
 def test_pack_interval_is_separated():

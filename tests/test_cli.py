@@ -1,5 +1,6 @@
 import math
 
+from relucalc import analysis
 from relucalc.cli import main
 
 
@@ -76,6 +77,22 @@ def test_sweep_empty_list(capsys):
     assert code == 2
 
 
+def test_sweep_gaussian_meets_tolerance(capsys):
+    code, stdout, _ = run_cli(
+        capsys, "sweep", "gaussian", "--m", "1", "--eps-list", "0.1",
+        "--grid", "2001",
+    )
+    assert code == 0
+    eps, err = (float(v) for v in stdout.strip().splitlines()[1].split(",")[:2])
+    assert err <= eps
+
+
+def test_sweep_without_reference_is_usage_error(capsys):
+    code, _, stderr = run_cli(capsys, "sweep", "sawtooth")
+    assert code == 2
+    assert "has no sweep reference" in stderr
+
+
 def test_codec_round_trip(capsys, tmp_path):
     net_path = tmp_path / "net.relunet"
     run_cli(capsys, "build", "square", "--eps", "1e-2", "--out", str(net_path))
@@ -105,6 +122,46 @@ def test_codec_corrupted_file(capsys, tmp_path):
     bad.write_text("relunet v1\n2\n1 3 1\n0x1p+0\n")
     code, _, stderr = run_cli(capsys, "codec", str(bad), "--eps", "0.25")
     assert code == 3
+
+
+def test_codec_empty_domain_is_usage_error(capsys, tmp_path):
+    net_path = tmp_path / "net.relunet"
+    run_cli(capsys, "build", "square", "--eps", "1e-2", "--out", str(net_path))
+    code, _, stderr = run_cli(
+        capsys, "codec", str(net_path), "--D", "0", "--eps", "0.25"
+    )
+    assert code == 2
+    assert "empty domain" in stderr
+
+
+def test_codec_deep_sawtooth_uses_uniform_grid(capsys, tmp_path, monkeypatch):
+    # a depth-31 sawtooth has about 2^30 breakpoints on [-1, 1]; codec must
+    # measure the deviation on the uniform grid and never enumerate them
+    net_path = tmp_path / "saw.relunet"
+    run_cli(capsys, "build", "sawtooth", "--s", "30", "--out", str(net_path))
+
+    def no_exact_pwl(*args, **kwargs):
+        raise AssertionError("codec enumerated the breakpoints")
+
+    monkeypatch.setattr(analysis, "exact_pwl", no_exact_pwl)
+    code, stdout, _ = run_cli(
+        capsys, "codec", str(net_path), "--k", "5", "--eps", "0.25", "--grid", "2001"
+    )
+    assert code == 0
+    header, row = stdout.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["round_trip_ok"] == "1"
+    assert float(fields["deviation"]) <= 0.25
+
+
+def test_codec_single_grid_point_is_usage_error(capsys, tmp_path):
+    net_path = tmp_path / "net.relunet"
+    run_cli(capsys, "build", "square", "--eps", "1e-2", "--out", str(net_path))
+    code, _, stderr = run_cli(
+        capsys, "codec", str(net_path), "--grid", "1", "--eps", "0.25"
+    )
+    assert code == 2
+    assert "two grid points" in stderr
 
 
 def test_regions_sawtooth(capsys, tmp_path):

@@ -1,12 +1,12 @@
 """Every constructor meets its requested tolerance on a dense grid: at least
-1e5 uniform points, plus all network breakpoints in the 1-D cases (sup_error
-merges them in automatically).
+1e5 uniform points, plus all network breakpoints in the 1-D cases
+(error_report merges them in automatically).
 """
 
 import math
 
 import numpy as np
-from relucalc.analysis import sup_error
+from relucalc.analysis import error_report
 from relucalc.constructors import (
     SmoothDescriptor,
     bspline_network,
@@ -30,7 +30,7 @@ GRID = 100_001
 
 
 def check(net, reference, domain, eps, grid=GRID):
-    report = sup_error(net, reference, domain, grid)
+    report = error_report(net, reference, domain, grid)
     assert report.sup_error <= eps + 1e-12, report
 
 

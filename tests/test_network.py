@@ -119,15 +119,61 @@ def test_serialization_rejects_truncation(tmp_path, hat_net):
         read_network(path)
 
 
-def test_compiled_and_fallback_paths_bit_identical(monkeypatch):
-    import relucalc.core as core
+def column_sequential(net, xs):
+    """Reference evaluation: out[r, i] = (sum_j A[i, j] * x[r, j]) + b[i],
+    summed over j strictly left to right with the bias added last."""
+    vals = np.array(xs, dtype=np.float64)
+    for ell, layer in enumerate(net.layers):
+        if ell:
+            vals = np.maximum(vals, 0.0)
+        acc = np.zeros((vals.shape[0], layer.out_dim))
+        for j in range(layer.in_dim):
+            acc = acc + vals[:, j : j + 1] * layer.matrix[:, j]
+        vals = acc + layer.bias
+    return vals
 
+
+def constructor_builds():
+    """One small build of each public network constructor."""
+    from relucalc import constructors as c
+
+    f = c.SmoothDescriptor(lambda x: 1.0 / (2.0 - x), (-1.0, 1.0), "warp")
+    h = c.SmoothDescriptor(lambda x: 1.0 / (2.0 + x), (-1.0, 1.0), "envelope")
+    knots = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    return [
+        c.sawtooth_network(3),
+        c.square_interpolant_network(3),
+        c.square_network(1e-2),
+        c.multiply_network(2.0, 1e-2),
+        c.polynomial_network([0.1, 0.4, -0.3, 0.2], 1.0, 1e-2),
+        c.smooth_network(f, 1e-2),
+        c.smooth_network_general(f, 1e-2),
+        c.stitch_networks([c.square_network(1e-2)] * 3, knots, 1e-2, 1.0),
+        *c.hat_partition_networks(knots),
+        c.cosine_network(10.0, 1.0, 1e-2),
+        c.cosine_shifted_network(10.0, 0.5, 1.0, 1e-2),
+        c.sine_network(10.0, 1.0, 1e-2),
+        c.bspline_network(3, 1e-2),
+        c.spline_wavelet_network(2, 1e-2),
+        c.dilate_translate(
+            lambda reach, eta: c.cosine_network(3.0, reach, eta),
+            [[2.0]], [0.5], 2.0, 1.0, 1e-2,
+        ),
+        c.haar_mother_network(1e-2),
+        c.haar_element_network(1, 1, 1e-2),
+        c.cutoff_network(0.5, 2),
+        *c.modulated_network(c.gaussian_network(1, 1e-1), 1.0, [2.0], 2.0, 1e-1),
+        c.gaussian_network(2, 1e-1),
+        c.oscillatory_network(f, h, 3.0, 1.0, 1e-1),
+        c.weierstrass_network(0.4, 3, 1, 1e-1),
+    ]
+
+
+def test_evaluate_batch_matches_column_sequential_reference():
     rng = np.random.default_rng(12)
-    for _ in range(5):
-        net = random_net(rng)
+    nets = [random_net(rng) for _ in range(20)] + constructor_builds()
+    for net in nets:
         xs = rng.uniform(-3, 3, size=(64, net.in_dim))
-        fast = evaluate_batch(net, xs)
-        monkeypatch.setattr(core, "_njit", None)
-        slow = evaluate_batch(net, xs)
-        monkeypatch.undo()
-        assert np.array_equal(fast, slow)
+        got = evaluate_batch(net, xs)
+        want = column_sequential(net, xs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -111,6 +111,13 @@ def test_quantize_reports_violations():
     quantize_network(net, k, 1.0, 0.25)  # succeeds
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.5, 0.7])
+def test_quantize_rejects_bad_tolerance(eps):
+    net = network([([[0.3]], [0.0])])
+    with pytest.raises(QuantizationError):
+        quantize_network(net, 1, 1.0, eps)
+
+
 def test_quantize_error_law_on_constructors():
     cases = [
         (square_network(1e-2), 1.0),
