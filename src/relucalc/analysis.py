@@ -11,7 +11,13 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .core import DimensionError, ReluNetwork, apply_layer, evaluate_batch, metrics
+from .core import (
+    DimensionError,
+    ReluNetwork,
+    _affine_step,
+    evaluate_batch,
+    metrics,
+)
 
 BREAK_MERGE_TOL = 1e-12
 
@@ -83,21 +89,24 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
 
     Breakpoints are propagated layer by layer: each neuron's preactivation is
     linear between current breakpoints, and its zero crossings become new
-    breakpoints before the ReLU clip.  Preactivations are computed with the
-    same arithmetic as evaluate_batch.
+    breakpoints before the ReLU clip.  Preactivations come from the same
+    plan step as evaluate_batch, so they are bitwise equal to its values.
     """
     if net.in_dim != 1 or net.out_dim != 1:
         raise DimensionError("exact piecewise form needs a 1-D network")
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
+    plan = net._plan
     grid = np.array([a, b])
     vals = grid.reshape(1, -1)
-    for i, layer in enumerate(net.layers):
-        vals = apply_layer(layer, vals)
+    for i, step in enumerate(plan.steps):
+        pre = np.empty((step.rows, grid.size))
+        _affine_step(step, vals, pre, np.empty((plan.width, grid.size)))
+        vals = pre
         if i < net.depth - 1:
             grid, vals = _relu_pass(grid, vals)
-    out = vals[0]
+    out = vals[plan.out_rows[0]]
     slopes = np.diff(out) / np.diff(grid)
     return PwlFunction(grid, out, float(slopes[0]), float(slopes[-1]))
 
@@ -358,13 +367,20 @@ def asymptotic_piece_constant(
 # --- covering / packing demos ------------------------------------------------------
 
 
+def _floor_count(x: float, eps: float) -> int:
+    """floor(x) for a count x derived from eps; ValueError when x overflowed."""
+    if not math.isfinite(x):
+        raise ValueError(f"tolerance {eps!r} is too small: its count overflows")
+    return math.floor(x)
+
+
 def cover_interval(eps: float) -> np.ndarray:
     """Centers -1 + 2*(i-1)*eps, i = 1..floor(1/eps)+1, plus the endpoint 1
     when the last of them lies more than eps below it: every point of [-1, 1]
     lies within eps of one of at most floor(1/eps) + 2 centers."""
     if not 0.0 < eps < 1.0:
         raise ValueError("radius must lie in (0, 1)")
-    count = math.floor(1.0 / eps) + 1
+    count = _floor_count(1.0 / eps, eps) + 1
     centers = -1.0 + 2.0 * eps * np.arange(count)
     if 1.0 - centers[-1] > eps + 1e-12:
         centers = np.append(centers, 1.0)
@@ -381,7 +397,7 @@ def pack_interval(eps: float) -> np.ndarray:
     """Maximal set of points in [-1, 1] with pairwise distances > eps."""
     if not 0.0 < eps < 1.0:
         raise ValueError("separation must lie in (0, 1)")
-    count = math.floor(2.0 / eps) + 1
+    count = _floor_count(2.0 / eps, eps) + 1
     if (count - 1) * eps >= 2.0:
         count -= 1
     return np.linspace(-1.0, 1.0, count)
@@ -392,7 +408,7 @@ def pack_exp_family(eps: float) -> np.ndarray:
     the sup norm: theta_0 = 0 and theta_i = -ln(1 - eps*i) while <= 1."""
     if not 0.0 < eps < 1.0:
         raise ValueError("separation must lie in (0, 1)")
-    top = math.floor((1.0 - 1.0 / math.e) / eps)
+    top = _floor_count((1.0 - 1.0 / math.e) / eps, eps)
     thetas = [0.0]
     for i in range(1, top + 1):
         thetas.append(-math.log(1.0 - eps * i))
@@ -409,7 +425,7 @@ def cover_exp_family(eps: float) -> np.ndarray:
     plus the endpoint theta = 1."""
     if not 0.0 < eps < 1.0:
         raise ValueError("radius must lie in (0, 1)")
-    top = math.floor(1.0 / (2.0 * eps))
+    top = _floor_count(1.0 / (2.0 * eps), eps)
     thetas = [2.0 * eps * i for i in range(top + 1)]
     thetas.append(1.0)
     return np.asarray(thetas)

@@ -3,12 +3,33 @@
 A network is an ordered list of affine layers; the ReLU is applied
 component-wise between consecutive layers and never after the last one.
 A single layer is a plain affine map.
+
+Evaluation contract: on finite inputs whose pre-activations stay finite,
+every output is bitwise equal to the column-sequential sum
+out[i] = (((0 + A[i, 0] x[0]) + A[i, 1] x[1]) + ...) + b[i], columns strictly
+left to right and the bias added last.  Several constructions rely on
+term-by-term cancellation of identical column contributions, so this order
+is part of the contract.  A pre-activation that overflows to inf mid-network
+is outside it.
+
+Each network is compiled once into an execution plan that skips zero
+weights (see `_compile`); evaluate_batch and exact_pwl both run the plan
+through `_affine_step`.  The plan keeps the contract because
+- a skipped term A[i, j] x[j] with A[i, j] == 0 is +-0, and adding +-0 to a
+  finite sum that started at +0.0 leaves it unchanged;
+- a sum that starts at +0.0 never becomes -0.0, so no layer output (and
+  no post-ReLU value) is -0.0;
+- a copy row (single weight 1.0, zero bias) outside layer 0 therefore
+  computes (0 + 1 * x[j]) + b == x[j], and is a plain gather of the
+  post-ReLU value x[j].  Layer 0 reads raw inputs, where -0.0 would become
+  +0.0, so it has no copy rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -96,6 +117,10 @@ class ReluNetwork:
     def __call__(self, x):
         return evaluate(self, x)
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _compile(self)
+
 
 def network(layers: Iterable[tuple]) -> ReluNetwork:
     """Build a network from (matrix, bias) pairs."""
@@ -118,36 +143,141 @@ class NetworkMetrics:
     weight_magnitude: float
 
 
-def apply_layer(layer: AffineLayer, xs_t: np.ndarray) -> np.ndarray:
-    """One affine layer on points stored as columns: (in_dim, n) -> (out_dim, n)."""
-    # Column-sequential accumulation with the bias added last:
-    # out[i, r] = (sum_j A[i, j] * xs[j, r]) + b[i], j strictly left to right.
-    # Several constructions rely on term-by-term cancellation of identical
-    # column contributions, so the accumulation order is part of the
-    # evaluation contract; evaluate_batch and exact_pwl both go through here.
-    a = layer.matrix
-    out_t = np.empty((a.shape[0], xs_t.shape[1]))
-    out_t.fill(0.0)
-    buf = np.empty_like(out_t)
-    for j in range(a.shape[1]):
-        np.multiply(a[:, j : j + 1], xs_t[j], out=buf)
-        np.add(out_t, buf, out=out_t)
-    out_t += layer.bias[:, None]
-    return out_t
+# --- execution plan ------------------------------------------------------------
+
+CHUNK_POINTS = 4096  # points per pass of evaluate_batch through the plan
+
+
+class _Step(NamedTuple):
+    """One layer of the plan, rows in buffer order: sparse rows first, by
+    descending nonzero count, then copy rows.
+
+    terms[k] = (src, weights) holds the k-th nonzero (ascending column) of
+    each of the first len(src) sparse rows: the buffer row it reads in the
+    previous layer and its weight, shape (len(src), 1).
+    """
+
+    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    bias: np.ndarray  # (sparse rows, 1)
+    copies: np.ndarray  # previous-layer buffer row of each copy row
+    rows: int
+
+
+class _Plan(NamedTuple):
+    steps: tuple[_Step, ...]
+    width: int
+    out_rows: np.ndarray  # buffer row of each output coordinate
+
+
+def _compile(net: ReluNetwork) -> _Plan:
+    """Sort the rows of every layer into copy and sparse rows, in one
+    vectorised pass over the concatenated matrices."""
+    layers = net.layers
+    depth = len(layers)
+    in_dims = np.array([layer.in_dim for layer in layers])
+    out_dims = np.array([layer.out_dim for layer in layers])
+    row_start = np.concatenate([[0], np.cumsum(out_dims)])
+    entry_start = np.concatenate([[0], np.cumsum(in_dims * out_dims)])
+    flat = np.concatenate([layer.matrix.ravel() for layer in layers])
+    bias = np.concatenate([layer.bias for layer in layers])
+
+    # nonzeros in (layer, row, column) order
+    nz = np.flatnonzero(flat)
+    weight = flat[nz]
+    ell = np.searchsorted(entry_start, nz, side="right") - 1
+    row, col = np.divmod(nz - entry_start[ell], in_dims[ell])
+    grow = row_start[ell] + row
+    count = np.bincount(grow, minlength=row_start[-1])
+    term = np.arange(nz.size) - (np.cumsum(count) - count)[grow]
+
+    row_layer = np.repeat(np.arange(depth), out_dims)
+    single = np.zeros(row_start[-1])
+    single[grow] = weight  # the weight of every one-term row
+    copy = (count == 1) & (single == 1.0) & (bias == 0.0) & (row_layer > 0)
+
+    order = np.lexsort((np.arange(row_start[-1]), -count, copy, row_layer))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size) - row_start[row_layer[order]]
+
+    src = col.copy()
+    deep = ell > 0
+    src[deep] = pos[row_start[ell[deep] - 1] + col[deep]]
+
+    sparse = np.flatnonzero(~copy[grow])
+    sparse = sparse[np.lexsort((pos[grow[sparse]], term[sparse], ell[sparse]))]
+    layer_cut = np.searchsorted(ell[sparse], np.arange(depth + 1))
+    copy_rows = np.flatnonzero(copy)
+    copy_src = src[np.searchsorted(grow, copy_rows)]
+    copy_cut = np.searchsorted(copy_rows, row_start)
+    ordered_bias = bias[order].reshape(-1, 1)
+
+    steps = []
+    for i in range(depth):
+        nz_i = sparse[layer_cut[i] : layer_cut[i + 1]]
+        ends = np.cumsum(np.bincount(term[nz_i])).tolist()
+        src_i, weight_i = src[nz_i], weight[nz_i].reshape(-1, 1)
+        n_sparse = int(out_dims[i]) - (copy_cut[i + 1] - copy_cut[i])
+        steps.append(
+            _Step(
+                terms=tuple(
+                    (src_i[a:b], weight_i[a:b]) for a, b in zip([0] + ends, ends)
+                ),
+                bias=ordered_bias[row_start[i] : row_start[i] + n_sparse],
+                copies=copy_src[copy_cut[i] : copy_cut[i + 1]],
+                rows=int(out_dims[i]),
+            )
+        )
+    return _Plan(tuple(steps), max(net.dims), pos[row_start[-2] :])
+
+
+def _affine_step(step: _Step, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Pre-activations of one layer in buffer order: h (rows of the previous
+    layer, n) -> out (step.rows, n), with tmp at least (len(step.bias), n)."""
+    acc = out[: len(step.bias)]
+    acc.fill(0.0)
+    for src, weights in step.terms:
+        t = tmp[: len(src)]
+        np.take(h, src, axis=0, out=t, mode="clip")
+        np.multiply(t, weights, out=t)
+        head = acc[: len(src)]
+        np.add(head, t, out=head)
+    np.add(acc, step.bias, out=acc)
+    np.take(h, step.copies, axis=0, out=out[len(step.bias) :], mode="clip")
 
 
 def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
-    """Evaluate the network on a batch of inputs, shape (n, in_dim) -> (n, out_dim)."""
+    """Evaluate the network on a batch of inputs, shape (n, in_dim) -> (n, out_dim).
+
+    Runs the network's plan over chunks of CHUNK_POINTS points.  Outputs are
+    bitwise equal to the column-sequential sum of the module docstring as
+    long as every pre-activation is finite; non-finite inputs raise
+    ValueError.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.shape[1] != net.in_dim:
         raise DimensionError(
             f"input has {xs.shape[1]} coordinates, network expects {net.in_dim}"
         )
-    out_t = apply_layer(net.layers[0], np.ascontiguousarray(xs.T))
-    for layer in net.layers[1:]:
-        np.maximum(out_t, 0.0, out=out_t)
-        out_t = apply_layer(layer, out_t)
-    return np.ascontiguousarray(out_t.T)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("inputs must be finite")
+    plan = net._plan
+    last = len(plan.steps) - 1
+    out = np.empty((xs.shape[0], net.out_dim))
+    size = plan.width * min(xs.shape[0], CHUNK_POINTS)
+    bufs = (np.empty(size), np.empty(size), np.empty(size))
+    for start in range(0, xs.shape[0], CHUNK_POINTS):
+        h = np.ascontiguousarray(xs[start : start + CHUNK_POINTS].T)
+        n = h.shape[1]
+        tmp = bufs[2][: plan.width * n].reshape(-1, n)
+        for i, step in enumerate(plan.steps):
+            nxt = bufs[i % 2][: step.rows * n].reshape(-1, n)
+            _affine_step(step, h, nxt, tmp)
+            if i < last:
+                head = nxt[: len(step.bias)]
+                np.maximum(head, 0.0, out=head)
+            h = nxt
+        out[start : start + n] = h[plan.out_rows].T
+    return out
 
 
 def evaluate(net: ReluNetwork, x) -> np.ndarray:
@@ -212,8 +342,11 @@ class NetworkFormatError(ValueError):
 
 def read_network(path) -> ReluNetwork:
     """Read a network written by write_network."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise NetworkFormatError(f"network file is not text: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != _MAGIC:
         raise NetworkFormatError("missing 'relunet v1' magic line")
@@ -230,7 +363,11 @@ def read_network(path) -> ReluNetwork:
 
     try:
         depth = int(take(1)[0])
+        if depth < 1:
+            raise NetworkFormatError(f"depth {depth} is not positive")
         dims = [int(t) for t in take(depth + 1)]
+        if min(dims) < 1:
+            raise NetworkFormatError("layer dimensions must be positive")
         layers = []
         for ell in range(depth):
             rows, cols = dims[ell + 1], dims[ell]

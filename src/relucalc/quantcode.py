@@ -461,6 +461,14 @@ def decode(bits: BitString, m: int, eps: float) -> ReluNetwork | None:
                 raise CodecError("child indices must be ascending")
             children.append(kids)
 
+    # every node carries a node weight and every edge an edge weight; check
+    # that the bits can back them before allocating the dense matrices
+    weights = total_nodes + sum(len(kids) for kids in children)
+    if len(bits) - pos < weights * width_b:
+        raise CodecError(
+            f"bitstring truncated: {len(bits) - pos} bits left for {weights} "
+            f"weights of {width_b} bits"
+        )
     mats = [np.zeros((dims[ell + 1], dims[ell])) for ell in range(depth)]
     biases = [np.zeros(dims[ell + 1]) for ell in range(depth)]
     offset = 1 << (width_b - 1)

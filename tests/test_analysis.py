@@ -252,6 +252,14 @@ def test_cover_interval_covers_any_radius(eps):
     assert dist.max() <= eps + 1e-12
 
 
+@pytest.mark.parametrize(
+    "fn", [cover_interval, pack_interval, pack_exp_family, cover_exp_family]
+)
+def test_tolerance_whose_count_overflows_is_value_error(fn):
+    with pytest.raises(ValueError, match="too small"):
+        fn(5e-324)
+
+
 def test_pack_interval_is_separated():
     for eps in (0.3, 0.1, 0.05):
         pts = pack_interval(eps)

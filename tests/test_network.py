@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relucalc import (
     AffineLayer,
@@ -119,6 +120,36 @@ def test_serialization_rejects_truncation(tmp_path, hat_net):
         read_network(path)
 
 
+_TOKENS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(float.hex),
+    st.sampled_from(["", "x", "1.5", "0x", "\n", "relunet", "9" * 30]),
+)
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(_TOKENS, max_size=30).map(lambda t: "relunet v1\n" + " ".join(t)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_read_network_fuzz_raises_only_format_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.relunet"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        read_network(path)
+    except NetworkFormatError:
+        pass
+
+
+def test_read_network_rejects_non_text(tmp_path):
+    path = tmp_path / "net.relunet"
+    path.write_bytes(b"relunet v1\n1\n1 1\n\xff\n0x0p+0\n")
+    with pytest.raises(NetworkFormatError):
+        read_network(path)
+
+
 def column_sequential(net, xs):
     """Reference evaluation: out[r, i] = (sum_j A[i, j] * x[r, j]) + b[i],
     summed over j strictly left to right with the bias added last."""
@@ -177,3 +208,51 @@ def test_evaluate_batch_matches_column_sequential_reference():
         got = evaluate_batch(net, xs)
         want = column_sequential(net, xs)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def sparse_random_net(rng, depth):
+    """Random net with about half its weights zero (some of them -0.0) and
+    planted rows of every kind the evaluation plan tells apart: copy rows
+    (single weight 1.0, bias +0.0 or -0.0), near-copies (weight 2.0, or a
+    nonzero bias) and all-zero rows.  Row 0 of layer 0 is [1.0, 0, ...] with
+    bias -0.0, so -0.0 inputs reach it."""
+    dims = [int(rng.integers(1, 7)) for _ in range(depth + 1)]
+    layers = []
+    for ell in range(depth):
+        rows, cols = dims[ell + 1], dims[ell]
+        mat = rng.uniform(-2.0, 2.0, (rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        bias = rng.uniform(-2.0, 2.0, rows) * (rng.random(rows) < 0.5)
+        for i in range(rows):
+            kind = int(rng.integers(6))
+            if kind < 5:
+                mat[i] = 0.0
+            if kind < 4:
+                weight, bias[i] = ((1.0, 0.0), (1.0, -0.0), (2.0, 0.0), (1.0, 0.5))[kind]
+                mat[i, rng.integers(cols)] = weight
+        if ell == 0:
+            mat[0] = 0.0
+            mat[0, 0] = 1.0
+            bias[0] = -0.0
+        layers.append((mat, bias))
+    return network(layers)
+
+
+def test_evaluate_batch_matches_reference_on_sparse_nets():
+    rng = np.random.default_rng(21)
+    nets = [sparse_random_net(rng, depth=1 + i % 5) for i in range(60)]
+    sizes = [0, 1, 64, 4095, 4096, 4097]
+    for i, net in enumerate(nets):
+        n = sizes[i % len(sizes)]
+        xs = rng.uniform(-3, 3, size=(n, net.in_dim))
+        xs[rng.random(xs.shape) < 0.2] = -0.0
+        xs[rng.random(xs.shape) < 0.1] = 0.0
+        got = evaluate_batch(net, xs)
+        want = column_sequential(net, xs)
+        assert got.shape == (n, net.out_dim)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_batch_rejects_nonfinite_inputs(hat_net, bad):
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_batch(hat_net, [[0.5], [bad]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,6 +264,34 @@ def test_decode_rejects_truncation(hat_net):
     clipped = BitString(bits.to_list()[:-3])
     with pytest.raises(CodecError):
         decode(clipped, m, 0.25)
+
+
+def test_decode_rejects_short_string_before_allocating():
+    # header of a 4000 x 4000 layer with no edges and no weights: about 7 KB
+    # of bits that would need a 128 MB dense matrix
+    bits = BitString()
+    bits.append_unary(4000)
+    for field in (1, 4000, 4000):
+        bits.append_uint(field, 12)
+    for _ in range(4000):
+        bits.append_uint(0, 13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError, match="truncated"):
+            decode(bits, 2, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@given(st.lists(st.integers(0, 1), max_size=600))
+@settings(max_examples=300, deadline=None)
+def test_decode_fuzz_raises_only_codec_error(seq):
+    try:
+        decode(BitString(seq), 2, 0.25)
+    except CodecError:
+        pass
 
 
 def test_encode_rejects_off_grid_weights():
