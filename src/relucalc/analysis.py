@@ -210,10 +210,7 @@ def error_report(
     grid (1-D grids also include all network breakpoints)."""
     boxes, axes, pts = _eval_grid(net, domain, grid_n)
     got = evaluate_batch(net, pts)[:, 0]
-    if len(boxes) == 1:
-        want = np.asarray([reference(float(x)) for x in pts[:, 0]])
-    else:
-        want = np.asarray([reference(*map(float, p)) for p in pts])
+    want = np.asarray([reference(*p) for p in pts.tolist()])
     err = got - want
     sup_idx = int(np.argmax(np.abs(err)))
     weights = _quad_weights(axes)
@@ -367,10 +364,14 @@ def asymptotic_piece_constant(
 # --- covering / packing demos ------------------------------------------------------
 
 
+# the demos hold all their points at once: 10^7 float64 values take 80 MB
+MAX_DEMO_COUNT = 10 ** 7
+
+
 def _floor_count(x: float, eps: float) -> int:
-    """floor(x) for a count x derived from eps; ValueError when x overflowed."""
-    if not math.isfinite(x):
-        raise ValueError(f"tolerance {eps!r} is too small: its count overflows")
+    """floor(x) for a count x derived from eps; ValueError above MAX_DEMO_COUNT."""
+    if x > MAX_DEMO_COUNT:  # an overflowed x is inf
+        raise ValueError(f"tolerance {eps!r} too small: count above {MAX_DEMO_COUNT}")
     return math.floor(x)
 
 

@@ -333,28 +333,25 @@ def prune(net: ReluNetwork) -> ReluNetwork:
     """
     mats = [np.array(l.matrix) for l in net.layers]
     biases = [np.array(l.bias) for l in net.layers]
-    changed = True
-    while changed:
-        changed = False
-        # Hidden layer ell sits between mats[ell] (into it) and mats[ell+1] (out).
-        for ell in range(len(mats) - 2, -1, -1):
-            keep = np.any(mats[ell + 1] != 0.0, axis=0)
-            if np.all(keep):
-                continue
-            changed = True
-            if not np.any(keep):
-                # Whole layer dead: the next layer sees rho(anything)=const 0,
-                # so layers ell and ell+1 collapse into a constant affine map.
-                const = biases[ell + 1]
-                mats[ell : ell + 2] = [
-                    np.zeros((const.shape[0], mats[ell].shape[1]))
-                ]
-                biases[ell : ell + 2] = [const]
-            else:
-                mats[ell] = mats[ell][keep, :]
-                biases[ell] = biases[ell][keep]
-                mats[ell + 1] = mats[ell + 1][:, keep]
-            break
+    # Hidden layer ell sits between mats[ell] (into it) and mats[ell+1] (out).
+    # Going downward suffices: a step only changes which columns of mats[ell]
+    # are zero, and those decide the next lower layer alone.
+    for ell in range(len(mats) - 2, -1, -1):
+        keep = np.any(mats[ell + 1] != 0.0, axis=0)
+        if np.all(keep):
+            continue
+        if not np.any(keep):
+            # Whole layer dead: the next layer sees rho(anything)=const 0,
+            # so layers ell and ell+1 collapse into a constant affine map.
+            const = biases[ell + 1]
+            mats[ell : ell + 2] = [
+                np.zeros((const.shape[0], mats[ell].shape[1]))
+            ]
+            biases[ell : ell + 2] = [const]
+        else:
+            mats[ell] = mats[ell][keep, :]
+            biases[ell] = biases[ell][keep]
+            mats[ell + 1] = mats[ell + 1][:, keep]
     return ReluNetwork(tuple(AffineLayer(m, b) for m, b in zip(mats, biases)))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -51,11 +50,6 @@ DEFAULT_GRID = 100_001
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
-
-
-def _grid_default() -> int:
-    env = os.environ.get("RELUCALC_GRID_DEFAULT")
-    return int(env) if env else DEFAULT_GRID
 
 
 class _Spec:
@@ -350,7 +344,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float, default=0.4)
         p.add_argument("--s", type=int, default=1)
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--grid", type=int, default=_grid_default())
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID)
         p.add_argument("--out", default=None)
 
     p_build = sub.add_parser("build", help="build a network and print metrics")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -27,22 +27,22 @@ from ..core import AffineLayer, ReluNetwork
 from .algebra import multiply_network, polynomial_network, _check_eps
 
 
-@lru_cache(maxsize=None)
-def _bspline_exact(m: int, x: Fraction) -> Fraction:
-    if m == 1:
-        return Fraction(1) if 0 <= x < 1 else Fraction(0)
-    prev = m - 1
-    return (
-        x * _bspline_exact(prev, x) + (m - x) * _bspline_exact(prev, x - 1)
-    ) / prev
+def _truncated_power_sum(m: int, p: int, q: int) -> int:
+    """(m-1)! q**(m-1) N_m(p/q) for q > 0, as the exact integer
+    sum_{0 <= k <= p/q} (-1)^k C(m, k) (p - k q)^(m-1)."""
+    return sum(
+        (-1) ** k * math.comb(m, k) * (p - k * q) ** (m - 1)
+        for k in range(min(m, p // q) + 1)
+    )
 
 
 def cardinal_bspline(m: int, x) -> float:
     """Cardinal B-spline of order m (the m-fold convolution power of the unit
-    indicator), evaluated exactly via the two-term recurrence."""
+    indicator), evaluated exactly at x through its truncated-power sum."""
     if m < 1:
         raise ValueError("order must be a positive integer")
-    return float(_bspline_exact(m, Fraction(x).limit_denominator(10 ** 12)))
+    p, q = Fraction(x).as_integer_ratio()
+    return _truncated_power_sum(m, p, q) / (math.factorial(m - 1) * q ** (m - 1))
 
 
 def _plateau_gate(lo: float, hi: float, ramp: float) -> tuple[ReluNetwork, float]:
@@ -100,18 +100,21 @@ def bspline_network(m: int, eps: float) -> ReluNetwork:
     return compose(scalar_mult_network(amp), gated)
 
 
+@cache
 def spline_wavelet_coeffs(m: int) -> tuple[float, ...]:
     """Coefficients q_1..q_{3m-1} expanding the order-m spline wavelet in
     half-integer shifts of the order-m B-spline."""
     if m < 1:
         raise ValueError("order must be a positive integer")
+    # N_2m(n - j) = _truncated_power_sum(2m, n - j, 1) / (2m - 1)!
+    den = math.factorial(2 * m - 1) * 2 ** (m - 1)
     out = []
     for n in range(1, 3 * m):
-        total = Fraction(0)
-        for j in range(m + 1):
-            total += math.comb(m, j) * _bspline_exact(2 * m, Fraction(n - j))
-        total *= Fraction((-1) ** (n + 1), 2 ** (m - 1))
-        out.append(float(total))
+        total = sum(
+            math.comb(m, j) * _truncated_power_sum(2 * m, n - j, 1)
+            for j in range(m + 1)
+        )
+        out.append((-1) ** (n + 1) * total / den)
     return tuple(out)
 
 

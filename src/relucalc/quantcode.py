@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -34,13 +35,11 @@ def _ceil_log2_int(x: int) -> int:
 
 
 def _ceil_log2_inv(eps: float) -> int:
-    """ceil(log2(1/eps)) computed exactly for float eps in (0, 1)."""
-    frac = Fraction(eps)
-    # smallest t with 2**t >= 1/eps
-    t = 0
-    while Fraction(2) ** t < 1 / frac:
-        t += 1
-    return t
+    """ceil(log2(1/eps)) computed exactly for eps in (0, 1)."""
+    num, den = eps.as_integer_ratio()
+    # den / num lies in (2**(t-1), 2**(t+1)) for t below; one step corrects
+    t = den.bit_length() - num.bit_length()
+    return t + 1 if num << t < den else t
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class QuantGrid:
                 f"tolerance must lie in (0, 1/2), got {self.eps}"
             )
 
-    @property
+    @cached_property
     def step_exponent(self) -> int:
         """t such that the lattice step is 2**-t."""
         return self.m * _ceil_log2_inv(self.eps)
@@ -74,7 +73,7 @@ class QuantGrid:
         except OverflowError:
             return math.inf
 
-    @property
+    @cached_property
     def bound_exact(self) -> Fraction:
         return Fraction(self.eps) ** -self.m
 
@@ -102,11 +101,14 @@ class QuantGrid:
 
     def value_of(self, index: int) -> float:
         """Exact float value of a lattice index."""
-        return float(Fraction(index, 2 ** self.step_exponent))
+        # int / int is correctly rounded, subnormal results included
+        return index / (1 << self.step_exponent)
 
     def _in_range(self, value: float) -> bool:
         # bound = eps**-m can exceed the float range; compare exactly then
-        return abs(Fraction(value)) <= self.bound_exact
+        num, den = float(value).as_integer_ratio()
+        bound = self.bound_exact
+        return abs(num) * bound.denominator <= bound.numerator * den
 
     def round(self, value: float) -> float:
         """Nearest lattice value; raises if it falls outside the clip range."""

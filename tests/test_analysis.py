@@ -256,8 +256,10 @@ def test_cover_interval_covers_any_radius(eps):
     "fn", [cover_interval, pack_interval, pack_exp_family, cover_exp_family]
 )
 def test_tolerance_whose_count_overflows_is_value_error(fn):
-    with pytest.raises(ValueError, match="too small"):
-        fn(5e-324)
+    # 1/5e-324 overflows to inf; 1/1e-308 is finite but ~1e308 points
+    for eps in (5e-324, 1e-308):
+        with pytest.raises(ValueError, match="too small"):
+            fn(eps)
 
 
 def test_pack_interval_is_separated():

@@ -412,6 +412,28 @@ def test_prune_collapses_dead_layer():
     assert evaluate_scalar(pruned, 1.23) == 3.0
 
 
+def test_prune_collapses_dead_layer_below_trimmed_one():
+    # the second hidden node of the upper layer has no outgoing edge; once it
+    # is trimmed, the lower layer, which fed only that node, is dead too
+    net = network(
+        [
+            ([[1.0], [2.0]], [0.0, 0.5]),
+            ([[0.0, 0.0], [1.0, -1.0]], [2.0, 0.0]),
+            ([[3.0, 0.0]], [0.25]),
+        ]
+    )
+    pruned = prune(net)
+    assert pruned.dims == (1, 1, 1)
+    assert np.array_equal(pruned.layers[0].matrix, [[0.0]])
+    assert np.array_equal(pruned.layers[0].bias, [2.0])
+    assert np.array_equal(pruned.layers[1].matrix, [[3.0]])
+    xs = np.linspace(-2, 2, 41).reshape(-1, 1)
+    np.testing.assert_array_equal(
+        evaluate_batch(pruned, xs), evaluate_batch(net, xs)
+    )
+    assert np.all(evaluate_batch(pruned, xs) == 6.25)
+
+
 def test_is_nondegenerate(hat):
     assert is_nondegenerate(hat)
     assert not is_nondegenerate(network([([[0.0]], [1.0])]))

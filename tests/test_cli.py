@@ -199,14 +199,6 @@ def test_minpieces_unknown_function(capsys):
     assert code == 2
 
 
-def test_grid_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("RELUCALC_GRID_DEFAULT", "321")
-    from relucalc.cli import make_parser
-
-    args = make_parser().parse_args(["build", "square"])
-    assert args.grid == 321
-
-
 def test_build_invalid_params_usage_error(capsys):
     code, _, stderr = run_cli(capsys, "build", "square", "--eps", "0.7")
     assert code == 2

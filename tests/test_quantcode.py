@@ -1,11 +1,22 @@
+import hashlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from relucalc import evaluate_batch, is_nondegenerate, metrics, network, prune
+from relucalc import (
+    evaluate_batch,
+    is_nondegenerate,
+    metrics,
+    network,
+    prune,
+    write_network,
+)
 from relucalc.constructors import (
+    bspline_network,
+    cosine_network,
     multiply_network,
     sawtooth_network,
     square_network,
@@ -78,6 +89,32 @@ def test_grid_rounding_is_nearest(scale, m):
         assert abs(out - value) <= abs(grid.value_of(q) - value) + 1e-18
 
 
+def ceil_log2_inv_by_definition(eps):
+    """Oracle: the smallest t with 2**t >= 1/eps, in exact Fractions."""
+    inv = 1 / Fraction(eps)
+    t = 0
+    while Fraction(2) ** t < inv:
+        t += 1
+    return t
+
+
+@given(
+    st.integers(1, 40),
+    st.floats(5e-324, 0.5, exclude_max=True)
+    | st.fractions(Fraction(1, 10 ** 9), Fraction(49, 100), max_denominator=10 ** 9),
+)
+@example(1, 5e-324)
+@example(3, 2.2250738585072014e-308)
+@example(2, 0.25)
+@example(7, 0.49999999999999994)
+@example(1, Fraction(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_step_exponent_matches_definition(m, eps):
+    grid = QuantGrid(m, eps)
+    assert grid.step_exponent == m * ceil_log2_inv_by_definition(eps)
+    assert grid.bits_per_weight == 2 * (grid.step_exponent + 1)
+
+
 def test_grid_handles_subnormal_steps():
     # resolution far below the subnormal range: every float is on the grid
     grid = QuantGrid(300, 0.25)
@@ -138,6 +175,44 @@ def test_quantize_error_law_on_constructors():
             xs = np.column_stack([xx.ravel(), yy.ravel()])
         dev = np.abs(evaluate_batch(quant, xs) - evaluate_batch(net, xs))
         assert dev.max() <= eps
+
+
+# sha256 of the quantized network's relunet file and of the encoded bytes for
+# eps_q 0.25 and D 1; the lattice arithmetic must reproduce both bit for bit
+CODEC_PINS = {
+    "cos30": (
+        lambda: cosine_network(30, 1, 1e-2),
+        3690,
+        "650f774bd6bbe1595bfcace68f783f8dadeeffda5f8854391affa08014e9711b",
+        "1d6c2afcab8df702e8d5289390e6444bd85e4aeb9c9c2951b70e370e534c5775",
+    ),
+    "bspline3": (
+        lambda: bspline_network(3, 1e-3),
+        2646,
+        "0a4e16a97902844871fbac453f117519a4a18c7adec6ace5039552493bedea6a",
+        "b2913b70c136f3739d6e30687cc70d04e62389d4576218a4548472d74a988197",
+    ),
+    "mult": (
+        lambda: multiply_network(1, 1e-4),
+        120,
+        "567c43a51f9222b4a394db87b8eb4311e97279a539042959de323fb73c7ea53c",
+        "ee96690a381221109ebd0653bbe80ff70ddba2bc86bf1a1b6c3658edc1df242c",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CODEC_PINS))
+def test_quantized_and_encoded_bits_are_pinned(key, tmp_path):
+    build, want_m, want_quant, want_bits = CODEC_PINS[key]
+    net = prune(build())
+    k = minimal_quantization_k(net, 0.25)
+    quant, m = quantize_network(net, k, 1.0, 0.25)
+    assert m == want_m
+    path = tmp_path / f"{key}.relunet"
+    write_network(quant, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want_quant
+    bits = encode(quant, m, 0.25)
+    assert hashlib.sha256(bits.to_bytes()).hexdigest() == want_bits
 
 
 # --- bitstring -----------------------------------------------------------------------

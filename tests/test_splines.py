@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from relucalc.constructors import (
     spline_wavelet_reference,
     square_network,
 )
+from relucalc.constructors.splines import _truncated_power_sum
 
 
 def grid_eval(net, xs):
@@ -34,7 +37,51 @@ def bspline_by_convolution(m, xs):
     return np.interp(xs, t, g)
 
 
+def bspline_by_recurrence(m, x):
+    """Oracle: N_m(x) = (x N_{m-1}(x) + (m - x) N_{m-1}(x - 1)) / (m - 1)
+    in exact Fractions, from the unit indicator N_1 of [0, 1)."""
+    if m == 1:
+        return Fraction(1) if 0 <= x < 1 else Fraction(0)
+    return (
+        x * bspline_by_recurrence(m - 1, x)
+        + (m - x) * bspline_by_recurrence(m - 1, x - 1)
+    ) / (m - 1)
+
+
 # --- exact B-spline values ----------------------------------------------------------
+
+
+def test_bspline_closed_form_equals_recurrence():
+    rng = np.random.default_rng(3)
+    points = (
+        [k / 2 for k in range(-6, 19)]  # integers and half-integers
+        + [5e-324, -5e-324, 1e-300, 1e6, -1e6]
+        + rng.uniform(-3.0, 9.0, 200).tolist()
+        + (rng.integers(-3 * 2 ** 10, 9 * 2 ** 10, 100) / 2 ** 10).tolist()
+    )
+    for m in range(1, 7):
+        for x in points:
+            p, q = Fraction(x).as_integer_ratio()
+            want = bspline_by_recurrence(m, Fraction(x))
+            got = Fraction(
+                _truncated_power_sum(m, p, q), math.factorial(m - 1) * q ** (m - 1)
+            )
+            assert got == want, (m, x)
+            assert cardinal_bspline(m, x) == float(want), (m, x)
+
+
+def test_bspline_evaluation_retains_no_memory():
+    xs = np.linspace(-2.0, 5.0, 20_001).tolist()
+    tracemalloc.start()
+    try:
+        total = 0.0
+        for x in xs:
+            total += cardinal_bspline(3, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert abs(total * (7.0 / 20_000) - 1.0) < 1e-6  # the spline integrates to 1
 
 
 def test_bspline_order_two_at_integers():
