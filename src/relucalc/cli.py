@@ -8,6 +8,7 @@ violation (a stated bound failed on computed output).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -36,7 +37,6 @@ from .constructors import (
     spline_wavelet_network,
     spline_wavelet_reference,
     square_network,
-    square_refinement_steps,
     weierstrass_network,
     weierstrass_reference,
 )
@@ -48,81 +48,99 @@ EXIT_POSTCONDITION = 4
 DEFAULT_GRID = 100_001
 
 
+class _Exit(Exception):
+    """A failure reported as one line on stderr; main returns its code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-class _Spec:
-    """One registered constructor: how to build it, what it approximates, and
-    the domain (a function of eps) on which its error is measured."""
-
-    def __init__(self, build, reference=None, domain=None, dim=1):
-        self.build = build
-        self.reference = reference
-        self.domain = domain
-        self.dim = dim
-
-
-def _gaussian_box(dim: int, eps: float) -> list[tuple[float, float]]:
-    """The support box [-R-1, R+1]^dim of gaussian_network, widened by 1."""
+def _gaussian_box(args, eps) -> list[tuple[float, float]]:
+    """The support box [-R-1, R+1]^m of gaussian_network, widened by 1."""
     radius = max(1, math.ceil(math.log2(1.0 / eps)))
-    return [(-radius - 2.0, radius + 2.0)] * dim
+    return [(-radius - 2.0, radius + 2.0)] * args.m
 
 
-def _registry(args) -> dict[str, _Spec]:
-    d = args.D
-    return {
-        "square": _Spec(
-            lambda eps: square_network(eps),
-            reference=lambda x: x * x,
-            domain=lambda eps: (0.0, 1.0),
-        ),
-        "sawtooth": _Spec(lambda eps: sawtooth_network(args.s)),
-        "multiply": _Spec(
-            lambda eps: multiply_network(d, eps),
-            reference=lambda x, y: x * y,
-            domain=lambda eps: [(-d, d), (-d, d)],
-            dim=2,
-        ),
-        "cosine": _Spec(
-            lambda eps: cosine_network(args.a, d, eps),
-            reference=lambda x: math.cos(args.a * x),
-            domain=lambda eps: (-d, d),
-        ),
-        "cosine_shifted": _Spec(
-            lambda eps: cosine_shifted_network(args.a, args.b, d, eps),
-            reference=lambda x: math.cos(args.a * x - args.b),
-            domain=lambda eps: (-d, d),
-        ),
-        "sine": _Spec(
-            lambda eps: sine_network(args.a, d, eps),
-            reference=lambda x: math.sin(args.a * x),
-            domain=lambda eps: (-d, d),
-        ),
-        "bspline": _Spec(
-            lambda eps: bspline_network(args.m, eps),
-            reference=lambda x: cardinal_bspline(args.m, x),
-            domain=lambda eps: (-2.0, args.m + 2.0),
-        ),
-        "wavelet": _Spec(
-            lambda eps: spline_wavelet_network(args.m, eps),
-            reference=lambda x: spline_wavelet_reference(args.m, x),
-            domain=lambda eps: (0.0, 2.0 * args.m - 1.0),
-        ),
-        "weierstrass": _Spec(
-            lambda eps: weierstrass_network(args.p, args.a, d, eps),
-            reference=lambda x: weierstrass_reference(args.p, args.a, x),
-            domain=lambda eps: (-d, d),
-        ),
-        "gaussian": _Spec(
-            lambda eps: gaussian_network(args.m, eps),
-            reference=lambda *xs: math.exp(-sum(v * v for v in xs)),
-            domain=lambda eps: _gaussian_box(args.m, eps),
-            dim=args.m,
-        ),
-        "haar": _Spec(lambda eps: haar_element_network(args.s, args.k, eps)),
-        "cutoff": _Spec(lambda eps: cutoff_network(d, args.m)),
-    }
+# name -> (build(args, eps), reference(args, *x) or None,
+#          domain(args, eps) on which sweep measures the error, or None)
+_CONSTRUCTORS = {
+    "square": (
+        lambda args, eps: square_network(eps),
+        lambda args, x: x * x,
+        lambda args, eps: (0.0, 1.0),
+    ),
+    "sawtooth": (lambda args, eps: sawtooth_network(args.s), None, None),
+    "multiply": (
+        lambda args, eps: multiply_network(args.D, eps),
+        lambda args, x, y: x * y,
+        lambda args, eps: [(-args.D, args.D)] * 2,
+    ),
+    "cosine": (
+        lambda args, eps: cosine_network(args.a, args.D, eps),
+        lambda args, x: math.cos(args.a * x),
+        lambda args, eps: (-args.D, args.D),
+    ),
+    "cosine_shifted": (
+        lambda args, eps: cosine_shifted_network(args.a, args.b, args.D, eps),
+        lambda args, x: math.cos(args.a * x - args.b),
+        lambda args, eps: (-args.D, args.D),
+    ),
+    "sine": (
+        lambda args, eps: sine_network(args.a, args.D, eps),
+        lambda args, x: math.sin(args.a * x),
+        lambda args, eps: (-args.D, args.D),
+    ),
+    "bspline": (
+        lambda args, eps: bspline_network(args.m, eps),
+        lambda args, x: cardinal_bspline(args.m, x),
+        lambda args, eps: (-2.0, args.m + 2.0),
+    ),
+    "wavelet": (
+        lambda args, eps: spline_wavelet_network(args.m, eps),
+        lambda args, x: spline_wavelet_reference(args.m, x),
+        lambda args, eps: (0.0, 2.0 * args.m - 1.0),
+    ),
+    "weierstrass": (
+        lambda args, eps: weierstrass_network(args.p, args.a, args.D, eps),
+        lambda args, x: weierstrass_reference(args.p, args.a, x),
+        lambda args, eps: (-args.D, args.D),
+    ),
+    "gaussian": (
+        lambda args, eps: gaussian_network(args.m, eps),
+        lambda args, *xs: math.exp(-sum(v * v for v in xs)),
+        _gaussian_box,
+    ),
+    "haar": (lambda args, eps: haar_element_network(args.s, args.k, eps), None, None),
+    "cutoff": (lambda args, eps: cutoff_network(args.D, args.m), None, None),
+}
+
+
+def _constructor(name: str):
+    if name not in _CONSTRUCTORS:
+        raise _Exit(EXIT_USAGE, f"unknown constructor '{name}'")
+    return _CONSTRUCTORS[name]
+
+
+def _build(args, eps: float) -> ReluNetwork:
+    build = _constructor(args.constructor)[0]
+    try:
+        return build(args, eps)
+    except ValueError as exc:
+        raise _Exit(
+            EXIT_USAGE, f"invalid parameters for '{args.constructor}': {exc}"
+        ) from exc
+
+
+def _read(path) -> ReluNetwork:
+    try:
+        return read_network(path)
+    except (OSError, NetworkFormatError) as exc:
+        raise _Exit(EXIT_DATA, f"cannot read network: {exc}") from exc
 
 
 def _emit(lines, out_path) -> None:
@@ -134,16 +152,8 @@ def _emit(lines, out_path) -> None:
 
 
 def cmd_build(args) -> int:
-    registry = _registry(args)
-    if args.constructor not in registry:
-        print(f"unknown constructor '{args.constructor}'", file=sys.stderr)
-        return EXIT_USAGE
-    spec = registry[args.constructor]
-    try:
-        net = spec.build(args.eps)
-    except ValueError as exc:
-        print(f"invalid parameters for '{args.constructor}': {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    """build a network and print metrics"""
+    net = _build(args, args.eps)
     if args.out:
         write_network(net, args.out)
     m = metrics(net)
@@ -166,33 +176,22 @@ def _sweep_grid(dim: int, grid: int) -> int:
 
 
 def cmd_sweep(args) -> int:
-    registry = _registry(args)
-    if args.constructor not in registry:
-        print(f"unknown constructor '{args.constructor}'", file=sys.stderr)
-        return EXIT_USAGE
+    """tolerance sweep with measured errors"""
+    _, reference, domain = _constructor(args.constructor)
     if not args.eps_list:
-        print("empty tolerance list", file=sys.stderr)
-        return EXIT_USAGE
-    spec = registry[args.constructor]
-    if spec.reference is None:
-        print(
-            f"constructor '{args.constructor}' has no sweep reference",
-            file=sys.stderr,
+        raise _Exit(EXIT_USAGE, "empty tolerance list")
+    if reference is None:
+        raise _Exit(
+            EXIT_USAGE, f"constructor '{args.constructor}' has no sweep reference"
         )
-        return EXIT_USAGE
+    reference = functools.partial(reference, args)
     lines = ["eps,sup_error,connectivity,depth,width,magnitude"]
     status = 0
-    grid_n = _sweep_grid(spec.dim, args.grid)
     for eps in args.eps_list:
-        try:
-            net = spec.build(eps)
-        except ValueError as exc:
-            print(
-                f"invalid parameters for '{args.constructor}': {exc}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        report = analysis.error_report(net, spec.reference, spec.domain(eps), grid_n)
+        net = _build(args, eps)
+        report = analysis.error_report(
+            net, reference, domain(args, eps), _sweep_grid(net.in_dim, args.grid)
+        )
         m = metrics(net)
         lines.append(
             f"{_fmt(eps)},{_fmt(report.sup_error)},{m.connectivity},"
@@ -207,29 +206,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_codec(args) -> int:
-    try:
-        net = read_network(args.netfile)
-    except (OSError, NetworkFormatError) as exc:
-        print(f"cannot read network: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    """quantize, encode, decode, verify"""
+    net = _read(args.netfile)
     grid_n = 101 if net.in_dim > 1 else min(args.grid, 20_001)
     try:
         _, axes = analysis._uniform_axes(
             net, [(-args.D, args.D)] * net.in_dim, grid_n
         )
     except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"invalid parameters: {exc}") from exc
     try:
         quant, m = quantcode.quantize_network(net, args.k, args.D, args.eps)
         bits = quantcode.encode(quant, m, args.eps)
         back = quantcode.decode(bits, m, args.eps)
     except quantcode.QuantizationError as exc:
-        print(f"quantization precondition failed: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise _Exit(EXIT_DATA, f"quantization precondition failed: {exc}") from exc
     except quantcode.CodecError as exc:
-        print(f"codec error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise _Exit(EXIT_DATA, f"codec error: {exc}") from exc
     ok = back is not None and quant.dims == back.dims
     if ok:
         for la, lb in zip(quant.layers, back.layers):
@@ -260,61 +253,52 @@ def cmd_codec(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    try:
-        net = read_network(args.netfile)
-    except (OSError, NetworkFormatError) as exc:
-        print(f"cannot read network: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    """count linear regions"""
+    net = _read(args.netfile)
     try:
         count, bound = analysis.count_linear_regions(net, (args.lo, args.hi))
     except AssertionError as exc:
-        print(f"postcondition violation: {exc}", file=sys.stderr)
-        return EXIT_POSTCONDITION
+        raise _Exit(EXIT_POSTCONDITION, f"postcondition violation: {exc}") from exc
     _emit(["regions,bound", f"{count},{bound}"], args.out)
     return 0
 
 
+# name -> (f(args, x), f''(args, x))
 _MINPIECE_FUNCTIONS = {
-    "square": (
-        lambda args: (lambda x: x * x),
-        lambda args: (lambda x: 2.0),
-    ),
+    "square": (lambda args, x: x * x, lambda args, x: 2.0),
     "cos_a": (
-        lambda args: (lambda x: math.cos(args.a * x)),
-        lambda args: (lambda x: -args.a * args.a * math.cos(args.a * x)),
+        lambda args, x: math.cos(args.a * x),
+        lambda args, x: -args.a * args.a * math.cos(args.a * x),
     ),
     "weierstrass_partial": (
-        lambda args: (lambda x: weierstrass_reference(args.p, args.a, x, 8)),
-        lambda args: (
-            lambda x: -sum(
-                args.p ** j * (args.a ** j * math.pi) ** 2
-                * math.cos(args.a ** j * math.pi * x)
-                for j in range(8)
-            )
+        lambda args, x: weierstrass_reference(args.p, args.a, x, 8),
+        lambda args, x: -sum(
+            args.p ** j * (args.a ** j * math.pi) ** 2
+            * math.cos(args.a ** j * math.pi * x)
+            for j in range(8)
         ),
     ),
 }
 
 
 def cmd_minpieces(args) -> int:
+    """greedy free-knot piece counts"""
     if args.fname not in _MINPIECE_FUNCTIONS:
-        print(f"unknown function '{args.fname}'", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"unknown function '{args.fname}'")
     if not args.eps_list:
-        print("empty tolerance list", file=sys.stderr)
-        return EXIT_USAGE
-    f_make, f2_make = _MINPIECE_FUNCTIONS[args.fname]
-    f = f_make(args)
-    constant = analysis.asymptotic_piece_constant(
-        f2_make(args), (args.lo, args.hi)
-    )
+        raise _Exit(EXIT_USAGE, "empty tolerance list")
+    f, f2 = (functools.partial(g, args) for g in _MINPIECE_FUNCTIONS[args.fname])
+    interval = (args.lo, args.hi)
+    try:
+        constant = analysis.asymptotic_piece_constant(f2, interval)
+    except ArithmeticError as exc:
+        raise _Exit(EXIT_DATA, f"piece constant unavailable: {exc}") from exc
     lines = ["eps,pieces,pieces_sqrt_eps,constant"]
     for eps in args.eps_list:
         try:
-            count = analysis.min_pieces(f, (args.lo, args.hi), eps, args.grid)
+            count = analysis.min_pieces(f, interval, eps, args.grid)
         except analysis.ResolutionError as exc:
-            print(f"grid too coarse: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            raise _Exit(EXIT_DATA, f"grid too coarse: {exc}") from exc
         lines.append(
             f"{_fmt(eps)},{count},{_fmt(count * math.sqrt(eps))},{_fmt(constant)}"
         )
@@ -326,65 +310,64 @@ def _eps_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+_ARGUMENTS = {
+    "constructor": {},
+    "netfile": {},
+    "fname": {},
+    "lo": {"type": float},
+    "hi": {"type": float},
+    "--eps": {"type": float, "default": 1e-2},
+    "--eps-list": {"type": _eps_list, "default": (1e-2,)},
+    "--D": {"type": float, "default": 1.0},
+    "--a": {"type": float, "default": 1.0},
+    "--b": {"type": float, "default": 0.0},
+    "--m": {"type": int, "default": 1},
+    "--p": {"type": float, "default": 0.4},
+    "--s": {"type": int, "default": 1},
+    "--k": {"type": int, "default": 1},
+    "--grid": {"type": int, "default": DEFAULT_GRID},
+    "--out": {"default": None},
+}
+
+# the parameters the constructor table reads
+_PARAMETERS = ("--D", "--a", "--b", "--m", "--p", "--s", "--k")
+
+# each subcommand takes only the arguments it reads; its help is the
+# docstring of its function
+_COMMANDS = {
+    "build": (cmd_build, ("constructor", "--eps", *_PARAMETERS, "--out")),
+    "sweep": (cmd_sweep, ("constructor", "--eps-list", *_PARAMETERS, "--grid", "--out")),
+    "codec": (cmd_codec, ("netfile", "--eps", "--D", "--k", "--grid", "--out")),
+    "regions": (cmd_regions, ("netfile", "lo", "hi", "--out")),
+    "minpieces": (
+        cmd_minpieces,
+        ("fname", "lo", "hi", "--eps-list", "--a", "--p", "--grid", "--out"),
+    ),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relucalc",
         description="Constructive ReLU network toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_eps=True):
-        if with_eps:
-            p.add_argument("--eps", type=float, default=1e-2)
-        p.add_argument("--eps-list", type=_eps_list, default=None)
-        p.add_argument("--D", type=float, default=1.0)
-        p.add_argument("--a", type=float, default=1.0)
-        p.add_argument("--b", type=float, default=0.0)
-        p.add_argument("--m", type=int, default=1)
-        p.add_argument("--p", type=float, default=0.4)
-        p.add_argument("--s", type=int, default=1)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-        p.add_argument("--out", default=None)
-
-    p_build = sub.add_parser("build", help="build a network and print metrics")
-    p_build.add_argument("constructor")
-    common(p_build)
-    p_build.set_defaults(func=cmd_build)
-
-    p_sweep = sub.add_parser("sweep", help="tolerance sweep with measured errors")
-    p_sweep.add_argument("constructor")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_codec = sub.add_parser("codec", help="quantize, encode, decode, verify")
-    p_codec.add_argument("netfile")
-    common(p_codec)
-    p_codec.set_defaults(func=cmd_codec)
-
-    p_regions = sub.add_parser("regions", help="count linear regions")
-    p_regions.add_argument("netfile")
-    p_regions.add_argument("lo", type=float)
-    p_regions.add_argument("hi", type=float)
-    common(p_regions)
-    p_regions.set_defaults(func=cmd_regions)
-
-    p_min = sub.add_parser("minpieces", help="greedy free-knot piece counts")
-    p_min.add_argument("fname")
-    p_min.add_argument("lo", type=float)
-    p_min.add_argument("hi", type=float)
-    common(p_min)
-    p_min.set_defaults(func=cmd_minpieces)
-
+    for name, (func, arguments) in _COMMANDS.items():
+        # no prefix matching, so --eps cannot stand in for --eps-list
+        p = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
+        for arg in arguments:
+            p.add_argument(arg, **_ARGUMENTS[arg])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "eps_list", None) is None and hasattr(args, "eps"):
-        args.eps_list = [args.eps]
-    return args.func(args)
+    args = make_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -222,13 +222,6 @@ class BitString:
         """count ones followed by a single zero."""
         self.append_uint((1 << (count + 1)) - 2, count + 1)
 
-    def extend(self, other: "BitString") -> None:
-        for chunk in range(0, len(other._bytes), 512):
-            block = other._bytes[chunk : chunk + 512]
-            self.append_uint(int.from_bytes(block, "big"), 8 * len(block))
-        if other._pending_bits:
-            self.append_uint(other._pending, other._pending_bits)
-
     def uint(self, pos: int, width: int) -> int:
         if pos < 0 or width < 0 or pos + width > len(self):
             raise CodecError("bitstring truncated")
@@ -474,21 +467,33 @@ def decode(bits: BitString, m: int, eps: float) -> ReluNetwork | None:
     mats = [np.zeros((dims[ell + 1], dims[ell])) for ell in range(depth)]
     biases = [np.zeros(dims[ell + 1]) for ell in range(depth)]
     offset = 1 << (width_b - 1)
+    # |index| * 2**-t <= eps**-m, exactly, for the clip range encode enforces
+    bound = grid.bound_exact
+    max_index = (bound.numerator << grid.step_exponent) // bound.denominator
+
+    def weight() -> float:
+        idx = take(width_b) - offset
+        if abs(idx) > max_index:
+            raise CodecError(f"lattice index lies outside the clip range eps**-{m}")
+        try:
+            return grid.value_of(idx)
+        except OverflowError:
+            raise CodecError("lattice value overflows a float") from None
 
     node = 0
     for ell in range(depth):
         for local in range(dims[ell]):
-            node_weight = grid.value_of(take(width_b) - offset)
+            node_weight = weight()
             if ell > 0:
                 biases[ell - 1][local] = node_weight
             elif node_weight != 0.0:
                 raise CodecError("input nodes must carry zero node weights")
             for child in children[node]:
                 row = child - offsets[ell + 1] - 1
-                mats[ell][row, local] = grid.value_of(take(width_b) - offset)
+                mats[ell][row, local] = weight()
             node += 1
     for local in range(dims[depth]):
-        biases[depth - 1][local] = grid.value_of(take(width_b) - offset)
+        biases[depth - 1][local] = weight()
     if pos != len(bits):
         raise CodecError(f"{len(bits) - pos} trailing bits after decode")
     return ReluNetwork(

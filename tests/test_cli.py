@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from relucalc import analysis
 from relucalc.cli import main
 
@@ -192,6 +194,36 @@ def test_minpieces_square(capsys):
     fields = row.split(",")
     assert abs(int(fields[1]) - 36) <= 2
     assert abs(float(fields[3]) - math.sqrt(2) / 4) <= 1e-9
+
+
+def test_minpieces_quadrature_failure_is_data_error(capsys):
+    code, stdout, stderr = run_cli(
+        capsys, "minpieces", "weierstrass_partial", "0", "1", "--a", "3",
+        "--eps-list", "1e-2", "--grid", "20001",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "quadrature failed" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regions", "NET", "0", "1", "--eps", "0.1"],
+        ["build", "square", "--grid", "5"],
+        ["sweep", "square", "--eps", "0.1"],
+        ["codec", "NET", "--a", "2"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, tmp_path, argv):
+    net_path = tmp_path / "sq.relunet"
+    run_cli(capsys, "build", "square", "--out", str(net_path))
+    argv = [str(net_path) if arg == "NET" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_minpieces_unknown_function(capsys):

@@ -234,21 +234,6 @@ def test_bitstring_uint_round_trip():
     assert bits.uint(7, 20) == 12345
 
 
-def test_bitstring_concatenation_associative():
-    parts = [BitString([1, 0]), BitString([1, 1, 1]), BitString([0])]
-    left = BitString()
-    left.extend(parts[0])
-    left.extend(parts[1])
-    left.extend(parts[2])
-    mid = BitString()
-    tail = BitString()
-    tail.extend(parts[1])
-    tail.extend(parts[2])
-    mid.extend(parts[0])
-    mid.extend(tail)
-    assert left == mid
-
-
 def test_bitstring_file_round_trip(tmp_path):
     bits = BitString([1, 0, 1, 1, 0, 0, 1, 0, 1])
     path = tmp_path / "x.bits"
@@ -358,6 +343,27 @@ def test_decode_rejects_short_string_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize(
+    "m, index, match",
+    [
+        (2, None, "outside"),  # all ones decodes 31.9375, above eps**-2 = 16
+        (600, None, "outside"),
+        (600, 2 ** 2400, "overflows"),  # in range, but 2**1200 is no float
+    ],
+    ids=["m2-all-ones", "m600-all-ones", "m600-float-overflow"],
+)
+def test_decode_rejects_index_outside_clip_range(hat_net, m, index, match):
+    bits = encode(hat_net, m, 0.25)
+    width = QuantGrid(m, 0.25).bits_per_weight
+    offset = 1 << (width - 1)
+    # the last field is the output bias; None writes all ones, the largest
+    # index the field holds
+    tampered = BitString(bits.to_list()[:-width])
+    tampered.append_uint(offset + (offset - 1 if index is None else index), width)
+    with pytest.raises(CodecError, match=match):
+        decode(tampered, m, 0.25)
 
 
 @given(st.lists(st.integers(0, 1), max_size=600))
