@@ -294,8 +294,10 @@ def min_pieces(
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("tolerance must be positive")
+    if grid_n < 2:
+        raise ValueError("need at least two grid points")
     xs = np.linspace(a, b, grid_n)
     ys = np.asarray([f(float(x)) for x in xs])
     count = 0

@@ -113,18 +113,28 @@ def parallelize(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     return ReluNetwork(tuple(layers))
 
 
+def _shared_input(nets: Sequence[ReluNetwork], what: str) -> list[ReluNetwork]:
+    """Networks on one input dimension, padded to equal depth."""
+    if not nets:
+        raise ValueError(f"{what} needs at least one network")
+    if any(n.in_dim != nets[0].in_dim for n in nets):
+        raise DimensionError(f"{what} needs equal input dims")
+    return _pad_all(list(nets))
+
+
+def _fan_in(nets: Sequence[ReluNetwork], blocks: ReluNetwork) -> ReluNetwork:
+    """blocks, built from nets on distinct inputs, fed one shared input: its
+    block-diagonal first matrix becomes the stacked first matrices."""
+    stacked = np.vstack([n.layers[0].matrix for n in nets])
+    return ReluNetwork(
+        (AffineLayer(stacked, blocks.layers[0].bias),) + blocks.layers[1:]
+    )
+
+
 def parallelize_shared(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     """(Phi_1(x), ..., Phi_n(x)) for networks sharing one input."""
-    if not nets:
-        raise ValueError("parallelize_shared needs at least one network")
-    d = nets[0].in_dim
-    if any(n.in_dim != d for n in nets):
-        raise DimensionError("shared parallelization needs equal input dims")
-    nets = _pad_all(list(nets))
-    par = parallelize(nets)
-    first = par.layers[0]
-    stacked = np.vstack([n.layers[0].matrix for n in nets])
-    return ReluNetwork((AffineLayer(stacked, first.bias),) + par.layers[1:])
+    nets = _shared_input(nets, "parallelize_shared")
+    return _fan_in(nets, parallelize(nets))
 
 
 def linear_combination(
@@ -159,21 +169,13 @@ def linear_combination_shared(
         raise ValueError(
             f"{len(nets)} networks but {len(coeffs)} coefficients"
         )
-    if not nets:
-        raise ValueError("linear_combination_shared needs at least one network")
-    d = nets[0].in_dim
-    if any(n.in_dim != d for n in nets):
-        raise DimensionError("shared combination needs equal input dims")
-    nets = _pad_all(list(nets))
+    nets = _shared_input(nets, "linear_combination_shared")
     if nets[0].depth == 1:
         # Single affine layer: the combination collapses to one affine map.
         mat = sum(a * n.layers[0].matrix for a, n in zip(coeffs, nets))
         bias = sum(a * n.layers[0].bias for a, n in zip(coeffs, nets))
         return ReluNetwork((AffineLayer(mat, bias),))
-    comb = linear_combination(nets, coeffs)
-    first = comb.layers[0]
-    stacked = np.vstack([n.layers[0].matrix for n in nets])
-    return ReluNetwork((AffineLayer(stacked, first.bias),) + comb.layers[1:])
+    return _fan_in(nets, linear_combination(nets, coeffs))
 
 
 def scalar_mult_network(a: float, dim: int = 1) -> ReluNetwork:

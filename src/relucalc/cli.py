@@ -126,16 +126,6 @@ def _constructor(name: str):
     return _CONSTRUCTORS[name]
 
 
-def _build(args, eps: float) -> ReluNetwork:
-    build = _constructor(args.constructor)[0]
-    try:
-        return build(args, eps)
-    except ValueError as exc:
-        raise _Exit(
-            EXIT_USAGE, f"invalid parameters for '{args.constructor}': {exc}"
-        ) from exc
-
-
 def _read(path) -> ReluNetwork:
     try:
         return read_network(path)
@@ -153,7 +143,7 @@ def _emit(lines, out_path) -> None:
 
 def cmd_build(args) -> int:
     """build a network and print metrics"""
-    net = _build(args, args.eps)
+    net = _constructor(args.constructor)[0](args, args.eps)
     if args.out:
         write_network(net, args.out)
     m = metrics(net)
@@ -177,7 +167,7 @@ def _sweep_grid(dim: int, grid: int) -> int:
 
 def cmd_sweep(args) -> int:
     """tolerance sweep with measured errors"""
-    _, reference, domain = _constructor(args.constructor)
+    build, reference, domain = _constructor(args.constructor)
     if not args.eps_list:
         raise _Exit(EXIT_USAGE, "empty tolerance list")
     if reference is None:
@@ -188,7 +178,7 @@ def cmd_sweep(args) -> int:
     lines = ["eps,sup_error,connectivity,depth,width,magnitude"]
     status = 0
     for eps in args.eps_list:
-        net = _build(args, eps)
+        net = build(args, eps)
         report = analysis.error_report(
             net, reference, domain(args, eps), _sweep_grid(net.in_dim, args.grid)
         )
@@ -209,12 +199,7 @@ def cmd_codec(args) -> int:
     """quantize, encode, decode, verify"""
     net = _read(args.netfile)
     grid_n = 101 if net.in_dim > 1 else min(args.grid, 20_001)
-    try:
-        _, axes = analysis._uniform_axes(
-            net, [(-args.D, args.D)] * net.in_dim, grid_n
-        )
-    except ValueError as exc:
-        raise _Exit(EXIT_USAGE, f"invalid parameters: {exc}") from exc
+    _, axes = analysis._uniform_axes(net, [(-args.D, args.D)] * net.in_dim, grid_n)
     try:
         quant, m = quantcode.quantize_network(net, args.k, args.D, args.eps)
         bits = quantcode.encode(quant, m, args.eps)
@@ -368,6 +353,12 @@ def main(argv=None) -> int:
     except _Exit as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        # the commands catch data errors themselves; the library rejects bad
+        # arguments (an empty interval, a tolerance, a grid size, a network's
+        # input dimension) with ValueError
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

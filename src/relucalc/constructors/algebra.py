@@ -3,7 +3,8 @@
 These are the algebraic building blocks: a width-3 sawtooth chain whose
 linear-region count doubles per layer, the width-3 squaring approximant
 built on the self-similar interpolation refinement, the width-5 two-input
-multiplier obtained through the polarization identity, and the width-9
+multiplier obtained through the polarization identity (and the product of
+two networks on a shared input built on it), and the width-9
 polynomial evaluator that threads a running partial sum alongside the
 monomial chain.
 """
@@ -20,6 +21,7 @@ from ..calculus import (
     compose,
     identity_network,
     parallelize,
+    parallelize_shared,
     scalar_mult_network,
 )
 from ..core import AffineLayer, ReluNetwork
@@ -135,6 +137,29 @@ def multiply_network(half_width: float, eps: float) -> ReluNetwork:
     if d == 1.0:
         return core
     return compose(scalar_mult_network(d * d, 1), core)
+
+
+def _product(
+    f: ReluNetwork, g: ReluNetwork, half_width: float, eps: float, scale: float = 1.0
+) -> ReluNetwork:
+    """Network approximating scale * f(x) * g(x) within eps, for networks f
+    and g on one shared input whose outputs stay in [-half_width, half_width].
+
+    The multiplier runs at tolerance eps / scale, and a depth-for-magnitude
+    multiplication restores any scale other than 1, so weights stay at most 1.
+    """
+    product = compose(
+        multiply_network(half_width, eps / scale), parallelize_shared([f, g])
+    )
+    if scale == 1.0:
+        return product
+    return compose(scalar_mult_network(scale), product)
+
+
+def _pow2_ceil(x: float) -> float:
+    """Smallest power of two at least max(1, x), computed exactly."""
+    mantissa, exponent = math.frexp(max(1.0, x))
+    return 2.0 ** (exponent - 1 if mantissa == 0.5 else exponent)
 
 
 def _poly_step(coeff: float, bound: float, eta: float) -> ReluNetwork:

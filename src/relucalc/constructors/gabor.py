@@ -19,39 +19,13 @@ from ..calculus import (
     append_relu,
     compose,
     linear_combination,
-    parallelize_shared,
     scalar_mult_network,
 )
 from ..core import AffineLayer, ReluNetwork
-from .algebra import multiply_network, _check_eps
+from .algebra import _check_eps, _pow2_ceil, _product, multiply_network
 from .smooth import SmoothDescriptor, smooth_network_general
+from .splines import _plateau_gate
 from .trig import cosine_network, cosine_shifted_network
-
-
-def _box_gate_layers(y: float, dim: int, scale: float) -> ReluNetwork:
-    """Network computing chi(t)/scale: 1 on [-y, y]^dim, 0 outside
-    [-y-1, y+1]^dim, in [0, 1] between, all plateau values exact.
-
-    Per coordinate the nested form rho(1 - rho(t - y) - rho(-t - y)) never
-    accumulates rounding on the plateaus; the final layer checks that all
-    coordinates are active.  scale must be a power of two.
-    """
-    inv = 1.0 / scale
-    rows = np.zeros((2 * dim, dim))
-    bias1 = np.empty(2 * dim)
-    for i in range(dim):
-        rows[2 * i, i] = inv
-        rows[2 * i + 1, i] = -inv
-        bias1[2 * i] = -y * inv
-        bias1[2 * i + 1] = -y * inv
-    collect = np.zeros((dim, 2 * dim))
-    for i in range(dim):
-        collect[i, 2 * i] = -1.0
-        collect[i, 2 * i + 1] = -1.0
-    layer2 = AffineLayer(collect, np.full(dim, inv))
-    layer3 = AffineLayer(np.ones((1, dim)), [-(dim - 1) * inv])
-    layer4 = AffineLayer([[1.0]], [0.0])
-    return ReluNetwork((AffineLayer(rows, bias1), layer2, layer3, layer4))
 
 
 def cutoff_network(y: float, dim: int = 1) -> ReluNetwork:
@@ -61,13 +35,7 @@ def cutoff_network(y: float, dim: int = 1) -> ReluNetwork:
         raise ValueError("inner half-width must be positive")
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return _box_gate_layers(float(y), dim, 1.0)
-
-
-def _scaled_cutoff(y: float, dim: int) -> tuple[ReluNetwork, float]:
-    """Cutoff divided by a power of two so that all weights are at most 1."""
-    scale = 2.0 ** max(0.0, math.ceil(math.log2(max(1.0, y, float(dim - 1)))))
-    return _box_gate_layers(float(y), dim, scale), scale
+    return _plateau_gate(-float(y), float(y), 1.0, dim, scale=1.0)[0]
 
 
 def modulated_network(
@@ -93,35 +61,24 @@ def modulated_network(
         )
     s_f = max(1.0, float(envelope_bound))
     if not np.any(xi):
-        zero = ReluNetwork(
-            (AffineLayer(np.zeros((1, d)), [0.0]),)
-        )
-        return envelope, zero
+        return envelope, ReluNetwork((AffineLayer(np.zeros((1, d)), [0.0]),))
 
     reach = d * float(half_width) * float(np.max(np.abs(xi)))
     carrier_tol = eps / (6.0 * s_f)
-
-    def carrier(kind: str) -> ReluNetwork:
-        if kind == "re":
-            osc = cosine_network(2.0 * math.pi, reach, carrier_tol)
-        else:
-            osc = cosine_shifted_network(
-                2.0 * math.pi, math.pi / 2.0, reach, carrier_tol
-            )
-        return compose(osc, affine_network(xi.reshape(1, -1), [0.0]))
-
-    product = multiply_network(s_f + 0.5, eps / 6.0)
-
-    def assemble(kind: str) -> ReluNetwork:
-        pair = parallelize_shared([carrier(kind), envelope])
-        return compose(product, pair)
-
-    return assemble("re"), assemble("im")
+    phase = affine_network(xi.reshape(1, -1), [0.0])
+    oscillators = (
+        cosine_network(2.0 * math.pi, reach, carrier_tol),
+        cosine_shifted_network(2.0 * math.pi, math.pi / 2.0, reach, carrier_tol),
+    )
+    return tuple(
+        _product(compose(osc, phase), envelope, s_f + 0.5, eps / 6.0)
+        for osc in oscillators
+    )
 
 
 def _clamp_above(threshold: float) -> ReluNetwork:
     """Network computing min(u, threshold) for u >= 0 with weights at most 1."""
-    s = 2.0 ** max(0.0, math.ceil(math.log2(max(1.0, threshold))))
+    s = _pow2_ceil(threshold)
     inv = 1.0 / s
     split = ReluNetwork(
         (
@@ -161,9 +118,5 @@ def gaussian_network(dim: int, eps: float) -> ReluNetwork:
     )
     envelope = compose(smooth_network_general(decay, budget), clamped)
 
-    gate, scale = _scaled_cutoff(float(radius), dim)
-    product = multiply_network(2.0, budget / scale)
-    gated = compose(product, parallelize_shared([envelope, gate]))
-    if scale == 1.0:
-        return gated
-    return compose(scalar_mult_network(scale), gated)
+    gate, amp = _plateau_gate(-float(radius), float(radius), 1.0, dim)
+    return _product(envelope, gate, 2.0, budget, amp)

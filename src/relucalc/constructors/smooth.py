@@ -19,12 +19,11 @@ import numpy as np
 from ..calculus import (
     affine_network,
     compose,
-    parallelize_shared,
     reduce_weights,
     sum_finite_width,
 )
 from ..core import AffineLayer, ReluNetwork
-from .algebra import multiply_network, polynomial_network, _check_eps
+from .algebra import _check_eps, _product, polynomial_network
 
 MAX_DEGREE = 40
 WARN_DEGREE = 25
@@ -206,12 +205,12 @@ def stitch_networks(
         raise ValueError(
             f"{len(local_nets)} local networks for {len(hats)} hat functions"
         )
-    mult = multiply_network(f_bound + 1.0 / 6.0, eps / 3.0)
-    pieces = []
-    for net, hat in zip(local_nets, hats):
-        paired = parallelize_shared([net, hat])
-        pieces.append(compose(mult, paired))
-    return sum_finite_width(pieces)
+    return sum_finite_width(
+        [
+            _product(net, hat, f_bound + 1.0 / 6.0, eps / 3.0)
+            for net, hat in zip(local_nets, hats)
+        ]
+    )
 
 
 def smooth_network_general(f: SmoothDescriptor, eps: float) -> ReluNetwork:

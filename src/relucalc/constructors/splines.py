@@ -19,12 +19,11 @@ from ..calculus import (
     append_relu,
     compose,
     linear_combination_shared,
-    parallelize_shared,
     scalar_mult_network,
     sum_finite_width,
 )
 from ..core import AffineLayer, ReluNetwork
-from .algebra import multiply_network, polynomial_network, _check_eps
+from .algebra import _check_eps, _pow2_ceil, _product, polynomial_network
 
 
 def _truncated_power_sum(m: int, p: int, q: int) -> int:
@@ -45,26 +44,35 @@ def cardinal_bspline(m: int, x) -> float:
     return _truncated_power_sum(m, p, q) / (math.factorial(m - 1) * q ** (m - 1))
 
 
-def _plateau_gate(lo: float, hi: float, ramp: float) -> tuple[ReluNetwork, float]:
-    """Network g and amplitude A with A*g(x) equal to 1 on [lo, hi], 0 outside
-    [lo - ramp, hi + ramp], and linear in between.
+def _plateau_gate(
+    lo: float, hi: float, ramp: float, dim: int = 1, scale: float | None = None
+) -> tuple[ReluNetwork, float]:
+    """Network g and amplitude A with A*g(x) equal to 1 on [lo, hi]^dim, 0
+    outside [lo - ramp, hi + ramp]^dim, and in [0, 1] in between.
 
-    The nested form rho(ramp - rho(x - hi) - rho(lo - x)) keeps the plateaus
-    exact in floating point: inside, both inner terms are exactly zero;
-    outside, monotone rounding keeps the pre-activation nonpositive.  The
-    first layer is pre-scaled by a power of two so all weights stay at
-    most 1 and the scaled arithmetic mirrors the unscaled one bit for bit.
+    Per coordinate, the nested form rho(ramp - rho(t - hi) - rho(lo - t))
+    keeps the plateaus exact in floating point: inside, both inner terms are
+    exactly zero; outside, monotone rounding keeps the pre-activation
+    nonpositive.  For dim > 1 one more layer checks that every coordinate is
+    on its plateau.  The first layer is divided by scale, a power of two that
+    by default is the smallest keeping all weights at most 1, so the scaled
+    arithmetic mirrors the unscaled one bit for bit.
     """
-    s = 2.0 ** max(0.0, math.ceil(math.log2(max(1.0, abs(lo), abs(hi), ramp))))
-    inv = 1.0 / s
-    net = ReluNetwork(
-        (
-            AffineLayer([[inv], [-inv]], [-hi * inv, lo * inv]),
-            AffineLayer([[-1.0, -1.0]], [ramp * inv]),
-            AffineLayer([[1.0]], [0.0]),
-        )
+    if scale is None:
+        scale = _pow2_ceil(max(abs(lo), abs(hi), ramp, (dim - 1) * ramp))
+    inv = 1.0 / scale
+    rows = np.arange(2 * dim)
+    split = np.zeros((2 * dim, dim))
+    split[rows, rows // 2] = np.tile([inv, -inv], dim)
+    collect = np.zeros((dim, 2 * dim))
+    collect[rows // 2, rows] = -1.0
+    layers = (
+        AffineLayer(split, np.tile([-hi * inv, lo * inv], dim)),
+        AffineLayer(collect, np.full(dim, ramp * inv)),
     )
-    return net, s / ramp
+    if dim > 1:
+        layers += (AffineLayer(np.ones((1, dim)), [-(dim - 1) * ramp * inv]),)
+    return ReluNetwork(layers + (AffineLayer([[1.0]], [0.0]),)), scale / ramp
 
 
 def bspline_network(m: int, eps: float) -> ReluNetwork:
@@ -93,11 +101,7 @@ def bspline_network(m: int, eps: float) -> ReluNetwork:
             terms.append(compose(scalar_mult_network(coeff), term))
         body = sum_finite_width(terms)
         gate, amp = _plateau_gate(0.0, float(m), 1.0)
-    mult = multiply_network(1.0 + eps / 2.0, eps / (2.0 * amp))
-    gated = compose(mult, parallelize_shared([body, gate]))
-    if amp == 1.0:
-        return gated
-    return compose(scalar_mult_network(amp), gated)
+    return _product(body, gate, 1.0 + eps / 2.0, eps / 2.0, amp)
 
 
 @cache
@@ -180,13 +184,7 @@ def spline_wavelet_network(m: int, eps: float) -> ReluNetwork:
 def haar_mother_network(eps: float) -> ReluNetwork:
     """Continuous ramp approximation of the Haar mother wavelet with
     transition half-width eps**2."""
-    _check_eps(eps)
-    delta = eps * eps
-    inv = 1.0 / (2.0 * delta)
-    mat = [[1.0]] * 6
-    bias = [delta, -delta, -(0.5 - delta), -(0.5 + delta), -(1.0 - delta), -(1.0 + delta)]
-    out = [[inv, -inv, -2.0 * inv, 2.0 * inv, inv, -inv]]
-    return ReluNetwork((AffineLayer(mat, bias), AffineLayer(out, [0.0])))
+    return haar_element_network(0, 0, eps)
 
 
 def haar_reference(x: float) -> float:

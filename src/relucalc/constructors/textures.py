@@ -11,11 +11,10 @@ from ..calculus import (
     compose,
     identity_network,
     parallelize,
-    parallelize_shared,
     scale_output,
 )
 from ..core import AffineLayer, ReluNetwork
-from .algebra import multiply_network, _check_eps
+from .algebra import _check_eps, _product
 from .smooth import SmoothDescriptor, smooth_network_general
 from .trig import cosine_network
 
@@ -46,9 +45,7 @@ def oscillatory_network(
     # the warped argument stays within [-1, 1] + tolerance
     oscillation = cosine_network(a, 1.5, eps / 3.0)
     carrier = compose(oscillation, warp_net)
-    pair = parallelize_shared([carrier, envelope_net])
-    product = multiply_network(1.5, eps / 3.0)
-    return compose(product, pair)
+    return _product(carrier, envelope_net, 1.5, eps / 3.0)
 
 
 def weierstrass_reference(p: float, a: float, x, terms: int = 60) -> float:

@@ -74,8 +74,11 @@ class QuantGrid:
             return math.inf
 
     @cached_property
-    def bound_exact(self) -> Fraction:
-        return Fraction(self.eps) ** -self.m
+    def max_index(self) -> int:
+        """Largest |index| in the clip range: |index| * 2**-t <= eps**-m,
+        compared exactly (eps**-m can exceed the float range)."""
+        bound = Fraction(self.eps) ** -self.m
+        return (bound.numerator << self.step_exponent) // bound.denominator
 
     @property
     def bits_per_weight(self) -> int:
@@ -104,26 +107,19 @@ class QuantGrid:
         # int / int is correctly rounded, subnormal results included
         return index / (1 << self.step_exponent)
 
-    def _in_range(self, value: float) -> bool:
-        # bound = eps**-m can exceed the float range; compare exactly then
-        num, den = float(value).as_integer_ratio()
-        bound = self.bound_exact
-        return abs(num) * bound.denominator <= bound.numerator * den
-
     def round(self, value: float) -> float:
         """Nearest lattice value; raises if it falls outside the clip range."""
         idx = self.index_of(value)
-        out = self.value_of(idx)
-        if not self._in_range(out):
+        if abs(idx) > self.max_index:
             raise QuantizationError(
                 f"weight {value!r} exceeds the lattice range eps**-{self.m}"
             )
-        return out
+        return self.value_of(idx)
 
     def contains(self, value: float) -> bool:
         num, den = float(value).as_integer_ratio()
-        s = den.bit_length() - 1
-        return s <= self.step_exponent and self._in_range(value)
+        shift = self.step_exponent - (den.bit_length() - 1)
+        return shift >= 0 and abs(num << shift) <= self.max_index
 
 
 def minimal_quantization_k(net: ReluNetwork, eps: float) -> int:
@@ -340,8 +336,7 @@ def encode(net: ReluNetwork, m: int, eps: float) -> BitString:
     """
     grid = QuantGrid(m, eps)
     width_b = grid.bits_per_weight
-    stats = metrics(net)
-    big_m = stats.connectivity
+    big_m = metrics(net).connectivity
     out = BitString()
     if big_m == 0:
         out.append_bit(0)
@@ -351,11 +346,6 @@ def encode(net: ReluNetwork, m: int, eps: float) -> BitString:
             "encoder requires every non-output node to have an outgoing edge "
             "and every output node an incoming one (prune first)"
         )
-    for layer in net.layers:
-        for v in np.concatenate([layer.matrix.ravel(), layer.bias]):
-            if v and not grid.contains(v):
-                raise CodecError(f"weight {v!r} is not on the quantization lattice")
-
     out.append_unary(big_m)
     w_m = _size_width(big_m)
     depth = net.depth
@@ -369,42 +359,41 @@ def encode(net: ReluNetwork, m: int, eps: float) -> BitString:
     for d in dims:
         out.append_uint(d, w_m)
 
-    total_nodes = sum(dims)
-    w_n = _index_width(total_nodes)
-    # global node index, layer-major starting at 1
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+    w_n = _index_width(sum(dims))
+    # global index (layer-major, from 1) of the first node of layer ell + 1
+    bases = (np.cumsum(dims) + 1).tolist()
+    # per layer, per parent node, its child rows in wire order; non-degenerate
+    # means every parent has at least one child, so the runs of equal parents
+    # in np.nonzero(matrix.T) are the parents in order
+    fans = []
+    for layer in net.layers:
+        parents, rows = np.nonzero(layer.matrix.T)
+        runs = np.split(rows, np.flatnonzero(np.diff(parents)) + 1)
+        fans.append([run.tolist() for run in runs])
 
-    def children(layer_idx: int, local: int) -> list[int]:
-        mat = net.layers[layer_idx].matrix
-        rows = np.nonzero(mat[:, local])[0]
-        base = offsets[layer_idx + 1]
-        return [int(base + r + 1) for r in rows]
-
-    for ell in range(depth):
-        for local in range(dims[ell]):
-            for child in children(ell, local):
-                out.append_uint(child, w_n)
+    for base, fan in zip(bases, fans):
+        for kids in fan:
+            for row in kids:
+                out.append_uint(base + row, w_n)
             out.append_uint(0, w_n)
 
     offset = 1 << (width_b - 1)
 
     def emit_weight(value: float) -> None:
-        idx = grid.index_of(value)
-        coded = idx + offset
-        if coded < 0 or coded >> width_b:
-            raise CodecError(
-                f"lattice index {idx} overflows {width_b} bits per weight"
-            )
-        out.append_uint(coded, width_b)
+        # a lattice index satisfies |idx| <= 2**(width_b - 2) < offset
+        if not grid.contains(value):
+            raise CodecError(f"weight {value!r} is not on the quantization lattice")
+        out.append_uint(grid.index_of(value) + offset, width_b)
 
-    for ell in range(depth):
-        for local in range(dims[ell]):
-            # node weight: bias feeding this node; input nodes carry none
-            emit_weight(0.0 if ell == 0 else float(net.layers[ell - 1].bias[local]))
-            for row in np.nonzero(net.layers[ell].matrix[:, local])[0]:
-                emit_weight(float(net.layers[ell].matrix[row, local]))
-    for local in range(dims[depth]):
-        emit_weight(float(net.layers[depth - 1].bias[local]))
+    node_weights = [0.0] * dims[0]  # input nodes carry none
+    for layer, fan in zip(net.layers, fans):
+        for local, kids in enumerate(fan):
+            emit_weight(node_weights[local])
+            for row in kids:
+                emit_weight(float(layer.matrix[row, local]))
+        node_weights = layer.bias.tolist()
+    for value in node_weights:
+        emit_weight(value)
     return out
 
 
@@ -436,66 +425,66 @@ def decode(bits: BitString, m: int, eps: float) -> ReluNetwork | None:
         raise CodecError("decoded layer dimensions must be positive")
     total_nodes = sum(dims)
     w_n = _index_width(total_nodes)
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+    # global index (layer-major, from 1) of the first node of layer ell + 1
+    bases = (np.cumsum(dims) + 1).tolist()
 
-    children: list[list[int]] = []
-    for ell in range(depth):
-        lo, hi = offsets[ell + 1], offsets[ell + 2]
-        for local in range(dims[ell]):
-            kids = []
-            while True:
-                idx = take(w_n)
-                if idx == 0:
-                    break
-                if not lo < idx <= hi:
-                    raise CodecError(
-                        f"child index {idx} points outside layer {ell + 1}"
-                    )
-                kids.append(idx)
-            if kids != sorted(kids):
-                raise CodecError("child indices must be ascending")
-            children.append(kids)
+    def kids_of(ell: int) -> list[int]:
+        """Child rows of the next node of layer ell, in encode's order."""
+        kids = []
+        while idx := take(w_n):
+            row = idx - bases[ell]
+            if not 0 <= row < dims[ell + 1]:
+                raise CodecError(f"child index {idx} points outside layer {ell + 1}")
+            if kids and row <= kids[-1]:
+                raise CodecError("child indices must be strictly ascending")
+            kids.append(row)
+        return kids
+
+    fans = [[kids_of(ell) for _ in range(dims[ell])] for ell in range(depth)]
 
     # every node carries a node weight and every edge an edge weight; check
     # that the bits can back them before allocating the dense matrices
-    weights = total_nodes + sum(len(kids) for kids in children)
+    edges = sum(len(kids) for fan in fans for kids in fan)
+    weights = total_nodes + edges
     if len(bits) - pos < weights * width_b:
         raise CodecError(
             f"bitstring truncated: {len(bits) - pos} bits left for {weights} "
             f"weights of {width_b} bits"
         )
-    mats = [np.zeros((dims[ell + 1], dims[ell])) for ell in range(depth)]
-    biases = [np.zeros(dims[ell + 1]) for ell in range(depth)]
+    # encode takes only networks where these hold
+    if not all(kids for fan in fans for kids in fan):
+        raise CodecError("a non-output node has no child")
+    if len({row for kids in fans[-1] for row in kids}) != dims[depth]:
+        raise CodecError("an output node has no parent")
     offset = 1 << (width_b - 1)
-    # |index| * 2**-t <= eps**-m, exactly, for the clip range encode enforces
-    bound = grid.bound_exact
-    max_index = (bound.numerator << grid.step_exponent) // bound.denominator
 
     def weight() -> float:
         idx = take(width_b) - offset
-        if abs(idx) > max_index:
+        if abs(idx) > grid.max_index:
             raise CodecError(f"lattice index lies outside the clip range eps**-{m}")
         try:
             return grid.value_of(idx)
         except OverflowError:
             raise CodecError("lattice value overflows a float") from None
 
-    node = 0
-    for ell in range(depth):
-        for local in range(dims[ell]):
-            node_weight = weight()
-            if ell > 0:
-                biases[ell - 1][local] = node_weight
-            elif node_weight != 0.0:
-                raise CodecError("input nodes must carry zero node weights")
-            for child in children[node]:
-                row = child - offsets[ell + 1] - 1
+    mats = [np.zeros((dims[ell + 1], dims[ell])) for ell in range(depth)]
+    # node weights per layer; those of the input nodes must be zero
+    node_weights = [np.zeros(d) for d in dims]
+    for ell, fan in enumerate(fans):
+        for local, kids in enumerate(fan):
+            node_weights[ell][local] = weight()
+            for row in kids:
                 mats[ell][row, local] = weight()
-            node += 1
-    for local in range(dims[depth]):
-        biases[depth - 1][local] = weight()
+    node_weights[depth][:] = [weight() for _ in range(dims[depth])]
     if pos != len(bits):
         raise CodecError(f"{len(bits) - pos} trailing bits after decode")
+    if np.any(node_weights[0]):
+        raise CodecError("input nodes must carry zero node weights")
+    nonzero_edges = sum(np.count_nonzero(mt) for mt in mats)
+    if nonzero_edges != edges:
+        raise CodecError("edge weights must be nonzero")
+    if nonzero_edges + sum(np.count_nonzero(w) for w in node_weights) != big_m:
+        raise CodecError(f"header connectivity {big_m} differs from the decoded one")
     return ReluNetwork(
-        tuple(AffineLayer(mt, bs) for mt, bs in zip(mats, biases))
+        tuple(AffineLayer(mt, bs) for mt, bs in zip(mats, node_weights[1:]))
     )

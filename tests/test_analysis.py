@@ -197,6 +197,20 @@ def test_min_pieces_resolution_guard():
         min_pieces(lambda x: math.sin(40.0 * x), (0.0, 6.0), 1e-6, 301)
 
 
+@pytest.mark.parametrize(
+    "eps, grid_n, match",
+    [
+        (-1.0, 101, "tolerance"),
+        (math.nan, 101, "tolerance"),
+        (1e-2, 1, "two grid points"),
+        (1e-2, -5, "two grid points"),
+    ],
+)
+def test_min_pieces_rejects_bad_tolerance_and_grid(eps, grid_n, match):
+    with pytest.raises(ValueError, match=match):
+        min_pieces(lambda x: x * x, (0.0, 1.0), eps, grid_n)
+
+
 def test_min_pieces_scaling_constant():
     c = asymptotic_piece_constant(lambda x: 2.0, (0.0, 1.0))
     for eps in (1e-4, 1e-5):

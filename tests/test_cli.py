@@ -253,3 +253,27 @@ def test_sweep_postcondition_violation_exit_code(capsys):
     )
     assert code == 4
     assert "postcondition" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minpieces", "square", "1", "0"],
+        ["minpieces", "square", "0", "1", "--eps-list=-1"],
+        ["minpieces", "square", "0", "1", "--eps-list", "nan"],
+        ["minpieces", "square", "0", "1", "--grid", "-5"],
+        ["minpieces", "square", "0", "1", "--grid", "1"],
+        ["regions", "NET", "1", "0"],
+        ["regions", "NET2D", "0", "1"],
+        ["sweep", "square", "--grid", "1"],
+    ],
+)
+def test_bad_arguments_exit_2_with_one_line(capsys, tmp_path, argv):
+    nets = {"NET": tmp_path / "sq.relunet", "NET2D": tmp_path / "box.relunet"}
+    run_cli(capsys, "build", "square", "--out", str(nets["NET"]))
+    run_cli(capsys, "build", "cutoff", "--m", "2", "--out", str(nets["NET2D"]))
+    code, stdout, stderr = run_cli(capsys, *[str(nets.get(a, a)) for a in argv])
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "invalid parameters" in stderr

@@ -9,6 +9,7 @@ from relucalc.constructors import (
     gaussian_network,
     modulated_network,
 )
+from relucalc.constructors.splines import _plateau_gate
 
 
 def grid_eval(net, xs):
@@ -26,15 +27,30 @@ def test_cutoff_1d_values():
     assert evaluate_scalar(net, 2.5) == 0.5
 
 
+# (gate, plateau value, lo, hi, ramp): the cutoff in 1 to 3 dimensions, a
+# prescaled box as gaussian_network uses it, and the order-1 B-spline gate
+# (asymmetric box, ramp eps**2 / 2 at eps = 1e-2)
+GATES = {
+    "cutoff-1d": lambda: (cutoff_network(2.0, 1), 1.0, -2.0, 2.0, 1.0),
+    "cutoff-2d": lambda: (cutoff_network(1.0, 2), 1.0, -1.0, 1.0, 1.0),
+    "cutoff-3d": lambda: (cutoff_network(1.5, 3), 1.0, -1.5, 1.5, 1.0),
+    "scaled-2d": lambda: (_plateau_gate(-5.0, 5.0, 1.0, 2)[0], 0.125, -5.0, 5.0, 1.0),
+    "bspline-1": lambda: (_plateau_gate(0.0, 1.0, 5e-5)[0], 5e-5, 0.0, 1.0, 5e-5),
+}
+
+
 def test_cutoff_plateaus_exact_on_general_floats():
-    net = cutoff_network(2.0, 1)
     rng = np.random.default_rng(0)
-    inside = rng.uniform(-2.0, 2.0, size=200)
-    outside = np.concatenate(
-        [rng.uniform(3.0, 50.0, size=100), rng.uniform(-50.0, -3.0, size=100)]
-    )
-    np.testing.assert_array_equal(grid_eval(net, inside), 1.0)
-    np.testing.assert_array_equal(grid_eval(net, outside), 0.0)
+    for key, build in GATES.items():
+        net, plateau, lo, hi, ramp = build()
+        inside = rng.uniform(lo, hi, size=(200, net.in_dim))
+        # one coordinate beyond the ramp on either side zeroes the gate
+        outside = rng.uniform(lo, hi, size=(200, net.in_dim))
+        outside[np.arange(200), rng.integers(net.in_dim, size=200)] = np.concatenate(
+            [rng.uniform(hi + ramp, 50.0, 100), rng.uniform(-50.0, lo - ramp, 100)]
+        )
+        assert np.all(evaluate_batch(net, inside)[:, 0] == plateau), key
+        assert np.all(evaluate_batch(net, outside)[:, 0] == 0.0), key
 
 
 def test_cutoff_2d_corner_value():

@@ -366,6 +366,51 @@ def test_decode_rejects_index_outside_clip_range(hat_net, m, index, match):
         decode(tampered, m, 0.25)
 
 
+def raw_bits(conn, dims, children, weights):
+    """Bits in encode's layout for m=2, eps=0.25 and four nodes: unary
+    connectivity, depth and dims in ceil(log2(conn))-bit fields, 3-bit child
+    indices, and 10-bit weights at offset 512 with lattice step 1/16."""
+    width = max(1, (conn - 1).bit_length())
+    bits = BitString()
+    bits.append_unary(conn)
+    for field in (len(dims) - 1, *dims):
+        bits.append_uint(field, width)
+    for kids in children:
+        for child in (*kids, 0):
+            bits.append_uint(child, 3)
+    for w in weights:
+        bits.append_uint(512 + int(w * 16), 10)
+    return bits
+
+
+# the 1-2-1 network x -> rho(x + 1/4) + rho(-x): nodes 1 | 2, 3 | 4
+FAN_121 = [(2, 3), (4,), (4,)]
+WEIGHTS_121 = [0, 1, -1, 0.25, 1, 0, 1, 0]
+
+
+def test_raw_bits_are_what_encode_emits():
+    net = network([([[1.0], [-1.0]], [0.25, 0.0]), ([[1.0, 1.0]], [0.0])])
+    bits = raw_bits(5, (1, 2, 1), FAN_121, WEIGHTS_121)
+    assert encode(net, 2, 0.25) == bits
+    assert nets_equal(decode(bits, 2, 0.25), net)
+
+
+@pytest.mark.parametrize(
+    "conn, dims, children, weights, match",
+    [
+        (5, (1, 2, 1), [(2, 2), (4,), (4,)], WEIGHTS_121, "ascending"),
+        (4, (1, 2, 1), FAN_121, [0, 1, 0, 0.25, 1, 0, 1, 0], "nonzero"),
+        (6, (1, 2, 1), FAN_121, WEIGHTS_121, "header connectivity"),
+        (4, (1, 2, 1), [(2, 3), (4,), ()], [0, 1, -1, 0.25, 1, 0, 0], "no child"),
+        (3, (1, 1, 2), [(2,), (3,)], [0, 1, 0, 1, 0, 0.5], "no parent"),
+    ],
+    ids=["repeated-child", "zero-edge", "header", "childless-node", "orphan-output"],
+)
+def test_decode_accepts_only_what_encode_emits(conn, dims, children, weights, match):
+    with pytest.raises(CodecError, match=match):
+        decode(raw_bits(conn, dims, children, weights), 2, 0.25)
+
+
 @given(st.lists(st.integers(0, 1), max_size=600))
 @settings(max_examples=300, deadline=None)
 def test_decode_fuzz_raises_only_codec_error(seq):
