@@ -82,6 +82,16 @@ def _relu_pass(grid: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return grid, np.maximum(vals, 0.0)
 
 
+def _interval(bounds, what: str = "interval") -> tuple[float, float]:
+    """(a, b) as floats, checked to be a nonempty interval with finite ends."""
+    a, b = float(bounds[0]), float(bounds[1])
+    if not a < b:
+        raise ValueError(f"empty {what} [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"{what} [{a}, {b}] has an infinite end")
+    return a, b
+
+
 def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     """Exact piecewise-linear form of a 1-in 1-out network on [a, b].
 
@@ -92,9 +102,7 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     """
     if net.in_dim != 1 or net.out_dim != 1:
         raise DimensionError("exact piecewise form needs a 1-D network")
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
+    a, b = _interval(interval)
     plan = net._plan
     grid = np.array([a, b])
     vals = grid.reshape(1, -1)
@@ -154,11 +162,7 @@ def _normalize_domain(domain) -> list[tuple[float, float]]:
     arr = np.asarray(domain, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, 2)
-    boxes = [(float(lo), float(hi)) for lo, hi in arr]
-    for lo, hi in boxes:
-        if not lo < hi:
-            raise ValueError(f"empty domain [{lo}, {hi}]")
-    return boxes
+    return [_interval(box, "domain") for box in arr]
 
 
 def _uniform_axes(net: ReluNetwork, domain, grid_n: int):
@@ -291,9 +295,7 @@ def min_pieces(
     for interval covering, greedy maximal extension uses the fewest pieces.
     Raises when a piece would span fewer than 10 grid points.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
+    a, b = _interval(interval)
     if not eps > 0:
         raise ValueError("tolerance must be positive")
     if grid_n < 2:
@@ -341,9 +343,7 @@ def asymptotic_piece_constant(
 ) -> float:
     """The constant c = (1/4) * integral of sqrt|f''| governing the free-knot
     piece count s(eps) ~ c / sqrt(eps)."""
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
+    a, b = _interval(interval)
     # full_output keeps quad's multi-line warning off stderr; failure is
     # judged by the error estimate below
     value, abserr = quad(

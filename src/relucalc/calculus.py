@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AffineLayer, DimensionError, ReluNetwork
+from .core import AffineLayer, DimensionError, ReluNetwork, metrics
 
 
 def _stack_pm(layer: AffineLayer) -> AffineLayer:
@@ -189,12 +189,8 @@ def scalar_mult_network(a: float, dim: int = 1) -> ReluNetwork:
         raise ValueError("scale must be finite")
     if abs(a) <= 1.0:
         return ReluNetwork((AffineLayer(a * np.eye(dim), np.zeros(dim)),))
-    k = math.floor(math.log2(abs(a)))
-    # 2**k <= |a| < 2**(k+1) must hold exactly; guard against log2 rounding.
-    while 2.0 ** k > abs(a):
-        k -= 1
-    while 2.0 ** (k + 1) <= abs(a):
-        k += 1
+    # 2**k <= |a| < 2**(k+1), exactly
+    k = math.frexp(a)[1] - 1
     alpha = a * 2.0 ** (-(k + 1))
     one_dim = ReluNetwork(
         (
@@ -238,8 +234,6 @@ def reduce_weights(net: ReluNetwork) -> ReluNetwork:
     hidden activations positively scaled copies of the originals; a final
     scalar multiplication by B**L restores the output.
     """
-    from .core import metrics
-
     b = metrics(net).weight_magnitude
     if b <= 1.0:
         return net

@@ -40,6 +40,7 @@ from .constructors import (
     weierstrass_network,
     weierstrass_reference,
 )
+from .constructors.gabor import _gaussian_radius
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -62,7 +63,7 @@ def _fmt(x: float) -> str:
 
 def _gaussian_box(args, eps) -> list[tuple[float, float]]:
     """The support box [-R-1, R+1]^m of gaussian_network, widened by 1."""
-    radius = max(1, math.ceil(math.log2(1.0 / eps)))
+    radius = _gaussian_radius(eps)
     return [(-radius - 2.0, radius + 2.0)] * args.m
 
 

@@ -18,11 +18,12 @@ from ..calculus import (
     affine_network,
     append_relu,
     compose,
+    identity_network,
     linear_combination,
     scalar_mult_network,
 )
 from ..core import AffineLayer, ReluNetwork
-from .algebra import _check_eps, _pow2_ceil, _product, multiply_network
+from .algebra import _check_eps, _pow2_ceil, _product
 from .smooth import SmoothDescriptor, smooth_network_general
 from .splines import _plateau_gate
 from .trig import cosine_network, cosine_shifted_network
@@ -91,6 +92,11 @@ def _clamp_above(threshold: float) -> ReluNetwork:
     return compose(scalar_mult_network(s), split)
 
 
+def _gaussian_radius(eps: float) -> int:
+    """R such that gaussian_network is exactly zero outside [-R-1, R+1]^dim."""
+    return max(1, math.ceil(math.log2(1.0 / eps)))
+
+
 def gaussian_network(dim: int, eps: float) -> ReluNetwork:
     """Approximate exp(-|x|_2^2) on all of R^dim within eps.
 
@@ -103,12 +109,12 @@ def gaussian_network(dim: int, eps: float) -> ReluNetwork:
     if dim < 1:
         raise ValueError("dimension must be positive")
     _check_eps(eps)
-    radius = max(1, math.ceil(math.log2(1.0 / eps)))
+    radius = _gaussian_radius(eps)
     outer = radius + 1.0
 
     budget = eps / 4.0
-    dup = ReluNetwork((AffineLayer([[1.0], [1.0]], [0.0, 0.0]),))
-    square_1d = compose(multiply_network(outer, budget / dim), dup)
+    ident = identity_network(1)
+    square_1d = _product(ident, ident, outer, budget / dim)
     sum_squares = linear_combination([square_1d] * dim, [1.0] * dim)
     clamp_at = float(math.ceil(math.log(4.0 / eps)) + 1)
     clamped = compose(_clamp_above(clamp_at), append_relu(sum_squares))

@@ -6,14 +6,8 @@ from __future__ import annotations
 
 import math
 
-from ..calculus import (
-    _pad_all,
-    compose,
-    identity_network,
-    parallelize,
-    scale_output,
-)
-from ..core import AffineLayer, ReluNetwork
+from ..calculus import compose, scale_output, sum_finite_width
+from ..core import ReluNetwork
 from .algebra import _check_eps, _product
 from .smooth import SmoothDescriptor, smooth_network_general
 from .trig import cosine_network
@@ -61,20 +55,14 @@ def weierstrass_terms(eps: float) -> int:
     return math.ceil(math.log2(2.0 / eps))
 
 
-# between blocks the state (x, block output, running sum) is rewired to
-# (x, x, updated sum): the first channel feeds the next cosine block and the
-# last carries the accumulated series
-CHANNEL_SHUFFLE = [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
-
-
 def weierstrass_network(
     p: float, a: float, half_width: float, eps: float
 ) -> ReluNetwork:
     """Approximate sum_k p^k cos(a^k pi x) on [-D, D] within eps.
 
-    The truncated series is evaluated block by block; each block carries
-    (x, p^k cos(a^k pi x), running sum) through width-13 stages.  Width stays
-    at 13 and weights at 1.
+    The truncated series is a finite-width sum: the terms p^k cos(a^k pi x),
+    each within eps/4, run one after another while the input and the running
+    sum ride along, so width stays at 13 and weights at 1.
     """
     if not 0.0 < p < 0.5:
         raise ValueError(f"decay factor must lie in (0, 1/2), got {p}")
@@ -82,22 +70,9 @@ def weierstrass_network(
         raise ValueError("frequency base must be positive")
     _check_eps(eps)
     d = float(half_width)
-    n_terms = weierstrass_terms(eps)
-
-    def block(k: int) -> ReluNetwork:
-        """(x, y, s) -> (x, p^k cos(a^k pi y), s), identity channels padded."""
-        osc = cosine_network(a ** k * math.pi, d, eps / 4.0)
-        ident = identity_network(1)
-        return parallelize(_pad_all([ident, scale_output(osc, p ** k), ident]))
-
-    # (x) -> (x, cos-block 0, 0)
-    fan = ReluNetwork(
-        (AffineLayer([[1.0], [1.0], [0.0]], [0.0, 0.0, 0.0]),)
+    return sum_finite_width(
+        [
+            scale_output(cosine_network(a ** k * math.pi, d, eps / 4.0), p ** k)
+            for k in range(weierstrass_terms(eps) + 1)
+        ]
     )
-    net = compose(block(0), fan)
-    shuffle = ReluNetwork((AffineLayer(CHANNEL_SHUFFLE, [0.0, 0.0, 0.0]),))
-    for k in range(1, n_terms + 1):
-        net = compose(block(k), compose(shuffle, net))
-    collect = ReluNetwork((AffineLayer([[0.0, 1.0, 1.0]], [0.0]),))
-    return compose(collect, net)
-

@@ -38,8 +38,8 @@ def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
         raise ValueError("frequency must be positive")
     _check_eps(eps)
     d = float(half_width)
-    if d <= 0:
-        raise ValueError("domain half-width must be positive")
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"domain half-width must be positive and finite, got {d}")
     # Fold [-D, D] onto [-1, 1]; for D < 1 the unit-interval network already
     # covers the domain.
     a_eff = a * d if d > 1.0 else a

@@ -182,77 +182,52 @@ def quantize_network(
 class BitString:
     """Append-only bit sequence with random-access reads.
 
-    Complete bytes are packed most-significant-bit first; a small pending
-    accumulator holds the unaligned tail, keeping appends linear in the
-    number of bits written.
+    Bits are packed most-significant-bit first into one byte buffer whose
+    bits past the end are zero, so appends stay linear in the bits written.
     """
 
-    __slots__ = ("_bytes", "_pending", "_pending_bits")
+    __slots__ = ("_bytes", "_nbits")
 
     def __init__(self, bits=()):
         self._bytes = bytearray()
-        self._pending = 0
-        self._pending_bits = 0
+        self._nbits = 0
         for b in bits:
-            self.append_bit(b)
+            self.append_uint(b & 1, 1)
 
     def __len__(self) -> int:
-        return 8 * len(self._bytes) + self._pending_bits
+        return self._nbits
 
     def append_uint(self, value: int, width: int) -> None:
         if width < 0 or value < 0 or value >> width:
             raise CodecError(f"value {value} does not fit in {width} bits")
-        acc = (self._pending << width) | value
-        total = self._pending_bits + width
-        tail = total % 8
-        whole = total // 8
-        if whole:
-            self._bytes += (acc >> tail).to_bytes(whole, "big")
-        self._pending = acc & ((1 << tail) - 1)
-        self._pending_bits = tail
-
-    def append_bit(self, bit: int) -> None:
-        self.append_uint(bit & 1, 1)
+        used = self._nbits % 8
+        acc = self._bytes.pop() >> (8 - used) if used else 0
+        total = used + width
+        pad = -total % 8
+        acc = ((acc << width) | value) << pad
+        self._bytes += acc.to_bytes((total + pad) // 8, "big")
+        self._nbits += width
 
     def append_unary(self, count: int) -> None:
         """count ones followed by a single zero."""
         self.append_uint((1 << (count + 1)) - 2, count + 1)
 
     def uint(self, pos: int, width: int) -> int:
-        if pos < 0 or width < 0 or pos + width > len(self):
+        if pos < 0 or width < 0 or pos + width > self._nbits:
             raise CodecError("bitstring truncated")
-        if width == 0:
-            return 0
         first = pos // 8
-        last = (pos + width - 1) // 8
-        n_whole = len(self._bytes)
-        chunk = 0
-        got_bits = 0
-        hi = min(last, n_whole - 1)
-        if first < n_whole:
-            chunk = int.from_bytes(self._bytes[first : hi + 1], "big")
-            got_bits = 8 * (hi + 1 - first)
-        if last >= n_whole:
-            chunk = (chunk << self._pending_bits) | self._pending
-            got_bits += self._pending_bits
-        # chunk now holds bits [8*first, 8*first + got_bits)
-        drop = (8 * first + got_bits) - (pos + width)
-        return (chunk >> drop) & ((1 << width) - 1)
-
-    def bit(self, pos: int) -> int:
-        if not 0 <= pos < len(self):
-            raise IndexError(pos)
-        return self.uint(pos, 1)
+        end = (pos + width + 7) // 8
+        chunk = int.from_bytes(self._bytes[first:end], "big")
+        return (chunk >> (8 * end - pos - width)) & ((1 << width) - 1)
 
     def to_list(self) -> list[int]:
-        return [self.bit(i) for i in range(len(self))]
+        return [self.uint(i, 1) for i in range(self._nbits)]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitString)
-            and len(self) == len(other)
+            and self._nbits == other._nbits
             and self._bytes == other._bytes
-            and self._pending == other._pending
         )
 
     def __repr__(self) -> str:
@@ -263,12 +238,7 @@ class BitString:
     def to_bytes(self) -> bytes:
         """Wire format: 64-bit big-endian bit count, then the bits packed
         most-significant first and zero-padded to a byte boundary."""
-        nbits = len(self)
-        header = nbits.to_bytes(8, "big")
-        body = bytes(self._bytes)
-        if self._pending_bits:
-            body += bytes([self._pending << (8 - self._pending_bits)])
-        return header + body
+        return self._nbits.to_bytes(8, "big") + bytes(self._bytes)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "BitString":
@@ -279,11 +249,10 @@ class BitString:
         if len(blob) < 8 + nbytes:
             raise CodecError("bitstring truncated")
         out = cls()
-        whole = nbits // 8
-        out._bytes = bytearray(blob[8 : 8 + whole])
-        out._pending_bits = nbits % 8
-        if out._pending_bits:
-            out._pending = blob[8 + whole] >> (8 - out._pending_bits)
+        out._bytes = bytearray(blob[8 : 8 + nbytes])
+        out._nbits = nbits
+        if nbits % 8:
+            out._bytes[-1] &= 0xFF << (8 - nbits % 8) & 0xFF
         return out
 
 
@@ -339,7 +308,7 @@ def encode(net: ReluNetwork, m: int, eps: float) -> BitString:
     big_m = metrics(net).connectivity
     out = BitString()
     if big_m == 0:
-        out.append_bit(0)
+        out.append_uint(0, 1)
         return out
     if not is_nondegenerate(net):
         raise CodecError(

@@ -266,6 +266,11 @@ def test_sweep_postcondition_violation_exit_code(capsys):
         ["regions", "NET", "1", "0"],
         ["regions", "NET2D", "0", "1"],
         ["sweep", "square", "--grid", "1"],
+        ["minpieces", "square", "0", "inf"],
+        ["regions", "NET", "0", "inf"],
+        ["codec", "NET", "--D", "inf"],
+        ["build", "cosine", "--D", "inf"],
+        ["sweep", "cosine", "--D", "inf"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, tmp_path, argv):

@@ -1,9 +1,10 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from relucalc import network, write_network
+from relucalc import evaluate_batch, network, write_network
 from relucalc import constructors as c
 from relucalc.calculus import linear_combination_shared, parallelize_shared
 
@@ -62,7 +63,7 @@ BUILDS = {
 
 # sha256 of each build's relunet file
 DIGESTS = {
-    "weier": "e000e5985214960426d1b8989d58fb56a154e50d038167d08db68a7b1e0b2c07",
+    "weier": "30cb46de3694bb287826e3fe54f2c360ccb3d2a34bc90d1b05fed9dbe36da0b3",
     "polynomial": "60202cb5037d3f5dfa4f391b41a1578c7a104efac42565b3171bcb7802548880",
     "gauss1": "12669ca19fbb362de26a83ae151933415ec464358c4dbe5573d63ca503ee5855",
     "gauss2": "94f755ce3695a33851eacab1d1e8b7e2eece21e18f3539a64f1f85e70349e990",
@@ -95,3 +96,44 @@ def test_construction_digest_is_pinned(key, tmp_path):
     path = tmp_path / f"{key}.relunet"
     write_network(BUILDS[key](), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[key]
+
+
+def _outputs(net) -> bytes:
+    pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(1024, net.in_dim))
+    return evaluate_batch(net, pts).tobytes()
+
+
+# sha256 of each build's outputs at 1024 seeded points in [-2, 2]^in_dim; a
+# build may change its structure and keep these
+OUTPUT_DIGESTS = {
+    "bspline1": "af6dd3abe75e2afbc8ef1b8efa052438e09dc3c9110518a85620768468754b14",
+    "bspline3": "1cbfd7141fa5be3b790faa16f8b1d29c939d5eb03345164a7c3e6fafa9ea5319",
+    "cos100": "d12a09910074d011edb22520fc00d4ac9bd1adda89d85d59907b3ed4dc20dc1e",
+    "cos30": "8d236676ee19247824513468f1812191a36f39979bb136ea29a1bae46829c795",
+    "cutoff1": "ffc1f5db1faa7b6402489b6c3c21711ad6cb122faa068ac9410c12ab126aa81e",
+    "cutoff2": "552314bb22083642839cfe552768f0a1d95f724d2ad969f3451a7cb1cb5e120b",
+    "cutoff3": "d5dded8d9883842660302cb3bdbcdd08fa99d9ad1d46e916b7b660ae13d4148e",
+    "gauss1": "e81a9c2b167122b1f4ee17d5a04cdb7a3d5f82cad7606b6714cb4c7a26c3ae1d",
+    "gauss2": "9e7d32a172f50b80cb496234e24b3501920ad76d160c67f23dfaf8b82ec977ad",
+    "gauss3": "a87b9210a48d564cc8b7c390028f0cfd2c615de3cd1e7fccdb7cf52c71952534",
+    "haar_element": "9234950a443d645e94a23c865352dd6a29c9c799a1f8822359a9206a5ed6401a",
+    "haar_mother": "44cb30dbae9452244121398df5de9356bff144f56b6d54a9a47a4c8a330876d0",
+    "lincomb_shared": "28884a5441ca270232b112f0f478bb3e4633fb84bdbb2890f1721fadcc656084",
+    "lincomb_shared_d1": "2030c175d58f023a1ffd8f150397b9a942af67ac1cc539a84137ec24ecc2e7b0",
+    "modulated_im": "472d4b7e05cd80d2451c740b40b06ab7bfa955dc7547c3ce7465e4f1a1dd5a67",
+    "modulated_re": "ef35c5d1d85323fbc0fc84f216736cd9909e5747e3969f97faaf25b281d2838a",
+    "mult": "ef4969e9966fe0acb47710a28f0292028d8ea059c48522dba8c69b2cdecb349e",
+    "multiply": "1515f39acc7f7b01ace561918db3e683527c553d229b0b13411b55fefa784199",
+    "oscillatory": "93669b94f8ef13daf334324cad5250cb120fa61d32b4073642f28a7a11a224e4",
+    "par_shared": "26de2699dbf95edfc22852d76134c4f94cb42ee904d77d10626ac4927fac4042",
+    "polynomial": "e150bafa33fed0ba31242ebe48b1ce975641d79d8b6982e88bbae95c63c405a1",
+    "smooth_general": "7cfddcb68333d7216982db153153ad67eae930299a759901f57c9c7ec33e11fa",
+    "stitch": "391fb46289cb8516d9cc5b63e1b643bf5716593d4c505b0d00eb1d7bb2f1738d",
+    "wavelet2": "1e249a92cf0923fbf0d83df1d4f2ef7a896731d751c8b0b5f8d1498ec77da47f",
+    "weier": "77a7c521aea20705587fdde7990ad613c8e6849749fc4021baa1fc323e95afbf",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BUILDS))
+def test_construction_outputs_are_pinned(key):
+    assert hashlib.sha256(_outputs(BUILDS[key]())).hexdigest() == OUTPUT_DIGESTS[key]

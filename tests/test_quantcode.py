@@ -249,6 +249,35 @@ def test_bitstring_bytes_round_trip(seq):
     assert BitString.from_bytes(bits.to_bytes()).to_list() == seq
 
 
+@st.composite
+def uint_fields(draw):
+    width = draw(st.integers(0, 130))
+    return draw(st.integers(0, (1 << width) - 1)), width
+
+
+@given(st.lists(uint_fields(), max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_bitstring_fields_at_any_alignment(fields):
+    bits = BitString()
+    model = []
+    for value, width in fields:
+        bits.append_uint(value, width)
+        model += [(value >> (width - 1 - i)) & 1 for i in range(width)]
+    assert len(bits) == len(model)
+    assert bits.to_list() == model
+    pos = 0
+    for value, width in fields:
+        assert bits.uint(pos, width) == value
+        pos += width
+    blob = bits.to_bytes()
+    assert BitString.from_bytes(blob) == bits
+    if len(bits) % 8:
+        # the padding bits of the last byte are not part of the string
+        ones = bytearray(blob)
+        ones[-1] |= (1 << (8 - len(bits) % 8)) - 1
+        assert BitString.from_bytes(bytes(ones)) == bits
+
+
 # --- codec ---------------------------------------------------------------------------
 
 

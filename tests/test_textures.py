@@ -75,12 +75,3 @@ def test_weierstrass_shape():
 def test_weierstrass_rejects_bad_decay():
     with pytest.raises(ValueError):
         weierstrass_network(0.6, 3.0, 1.0, 1e-2)
-
-
-def test_weierstrass_channel_structure():
-    # between blocks the state is rewired as (x1, x2, x3) -> (x1, x1, x2+x3)
-    from relucalc.constructors.textures import CHANNEL_SHUFFLE
-
-    shuffle = np.asarray(CHANNEL_SHUFFLE)
-    state = np.array([2.0, 5.0, 7.0])
-    np.testing.assert_array_equal(shuffle @ state, [2.0, 2.0, 12.0])
