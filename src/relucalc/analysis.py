@@ -302,38 +302,31 @@ def min_pieces(
         raise ValueError("need at least two grid points")
     xs = np.linspace(a, b, grid_n)
     ys = np.asarray([f(float(x)) for x in xs])
-    count = 0
-    start = 0
-    while start < grid_n - 1:
-        # exponential probe then binary search for the furthest feasible end
-        lo = start + 1
-        hi = min(grid_n - 1, start + 2)
-        while (
-            hi < grid_n - 1
-            and minimax_line_error(xs[start : hi + 1], ys[start : hi + 1]) <= eps
-        ):
-            lo = hi
-            hi = min(grid_n - 1, start + 2 * (hi - start))
-        if minimax_line_error(xs[start : hi + 1], ys[start : hi + 1]) <= eps:
-            end = hi
-        else:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if (
-                    minimax_line_error(xs[start : mid + 1], ys[start : mid + 1])
-                    <= eps
-                ):
-                    lo = mid
-                else:
-                    hi = mid
-            end = lo
-        if end - start < 10 and end < grid_n - 1:
+    last = grid_n - 1
+
+    def fits(end: int) -> bool:
+        return minimax_line_error(xs[start : end + 1], ys[start : end + 1]) <= eps
+
+    count, start, guess = 0, 0, 2
+    while start < last:
+        # gallop from the previous piece's length, then bisect; lo always
+        # fits (two points do) and a window that fits still fits shortened
+        lo, hi, step = start + 1, min(last, start + guess), 1
+        while hi > lo and fits(hi):
+            lo, hi, step = hi, min(last, hi + step), 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
+        if lo - start < 10 and lo < last:
             raise ResolutionError(
-                f"piece {count} spans only {end - start} grid points; "
+                f"piece {count} spans only {lo - start} grid points; "
                 "refine the grid"
             )
         count += 1
-        start = end
+        guess, start = lo - start, lo
     return count
 
 

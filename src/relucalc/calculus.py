@@ -212,19 +212,10 @@ def scalar_mult_network(a: float, dim: int = 1) -> ReluNetwork:
 
 
 def affine_network(matrix, bias) -> ReluNetwork:
-    """Network computing x -> Ax + b with all weights bounded by 1.
-
-    Entries larger than 1 in magnitude are normalized out and restored by a
-    scalar multiplication stage, giving depth at most floor(log2 a) + 5.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    bias = np.atleast_1d(np.asarray(bias, dtype=np.float64))
-    a = max(float(np.max(np.abs(matrix))), float(np.max(np.abs(bias))), 0.0)
-    plain = ReluNetwork((AffineLayer(matrix, bias),))
-    if a <= 1.0:
-        return plain
-    normalized = ReluNetwork((AffineLayer(matrix / a, bias / a),))
-    return compose(scalar_mult_network(a, matrix.shape[0]), normalized)
+    """Network computing x -> Ax + b with all weights bounded by 1: one affine
+    layer through reduce_weights, depth at most floor(log2 max|A, b|) + 5."""
+    layer = AffineLayer(np.atleast_2d(matrix), np.atleast_1d(bias))
+    return reduce_weights(ReluNetwork((layer,)))
 
 
 def reduce_weights(net: ReluNetwork) -> ReluNetwork:

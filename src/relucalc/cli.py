@@ -354,10 +354,10 @@ def main(argv=None) -> int:
     except _Exit as exc:
         print(exc, file=sys.stderr)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         # the commands catch data errors themselves; the library rejects bad
         # arguments (an empty interval, a tolerance, a grid size, a network's
-        # input dimension) with ValueError
+        # input dimension) with ValueError, and too large ones overflow
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

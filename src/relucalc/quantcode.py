@@ -42,6 +42,11 @@ def _ceil_log2_inv(eps: float) -> int:
     return t + 1 if num << t < den else t
 
 
+def _check_tolerance(eps: float) -> None:
+    if not (0.0 < eps < 0.5):
+        raise QuantizationError(f"tolerance must lie in (0, 1/2), got {eps}")
+
+
 @dataclass(frozen=True)
 class QuantGrid:
     """Dyadic weight lattice with resolution m at tolerance eps."""
@@ -52,10 +57,7 @@ class QuantGrid:
     def __post_init__(self):
         if self.m < 1:
             raise QuantizationError("resolution parameter must be positive")
-        if not (0.0 < self.eps < 0.5):
-            raise QuantizationError(
-                f"tolerance must lie in (0, 1/2), got {self.eps}"
-            )
+        _check_tolerance(self.eps)
 
     @cached_property
     def step_exponent(self) -> int:
@@ -124,11 +126,10 @@ class QuantGrid:
 
 def minimal_quantization_k(net: ReluNetwork, eps: float) -> int:
     """Smallest k with connectivity and magnitude both at most eps**-k."""
+    _check_tolerance(eps)
     m = metrics(net)
-    need = max(float(m.connectivity), m.weight_magnitude, 1.0)
-    if need <= 1.0:
-        return 1
-    k = max(1, math.ceil(math.log(need) / math.log(1.0 / eps) - 1e-12))
+    need = max(float(m.connectivity), m.weight_magnitude)
+    k = 1
     while float(eps) ** -k < need:
         k += 1
     return k

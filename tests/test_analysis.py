@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucalc import evaluate_batch, network
+from relucalc import analysis, evaluate_batch, network
 from relucalc.analysis import (
     ResolutionError,
     asymptotic_piece_constant,
@@ -23,6 +23,7 @@ from relucalc.constructors import (
     gaussian_network,
     sawtooth_network,
     square_interpolant_network,
+    weierstrass_reference,
 )
 from conftest import random_net
 
@@ -216,6 +217,75 @@ def test_min_pieces_scaling_constant():
     for eps in (1e-4, 1e-5):
         count = min_pieces(lambda x: x * x, (0.0, 1.0), eps, 200_001)
         assert abs(count * math.sqrt(eps) - c) <= 0.15 * c
+
+
+def weierstrass_partial(x):
+    return weierstrass_reference(0.4, 3.0, x, 8)
+
+
+# a greedy count depends only on where each piece's furthest fitting end
+# lies, not on how the search finds it
+@pytest.mark.parametrize(
+    "f, eps, grid_n, count",
+    [
+        (lambda x: x * x, 1e-5, 100_001, 112),
+        (lambda x: math.cos(20.0 * x), 1e-4, 100_001, 386),
+        (weierstrass_partial, 1e-2, 20_001, 149),
+        (weierstrass_partial, 1e-3, 100_001, 1458),
+    ],
+    ids=["square", "cos20x", "weierstrass-1e-2", "weierstrass-1e-3"],
+)
+def test_min_pieces_pinned_counts(f, eps, grid_n, count):
+    assert min_pieces(f, (0.0, 1.0), eps, grid_n) == count
+
+
+def test_min_pieces_search_starts_from_previous_length(monkeypatch):
+    calls = []
+    fit = analysis.minimax_line_error
+
+    def counted(xs, ys):
+        calls.append(len(xs))
+        return fit(xs, ys)
+
+    monkeypatch.setattr(analysis, "minimax_line_error", counted)
+    count = min_pieces(lambda x: x * x, (0.0, 1.0), 1e-4, 40_001)
+    assert count == 36
+    # about 2.5 fits per piece; a search that restarts from two points at
+    # every piece needs about 20
+    assert len(calls) <= 4 * count
+
+
+def linear_scan_pieces(f, interval, eps, grid_n):
+    """Greedy piece count that extends each piece one grid point at a time."""
+    xs = np.linspace(*interval, grid_n)
+    ys = np.asarray([f(float(x)) for x in xs])
+    count, start = 0, 0
+    while start < grid_n - 1:
+        end = start + 1
+        while (
+            end < grid_n - 1
+            and minimax_line_error(xs[start : end + 2], ys[start : end + 2]) <= eps
+        ):
+            end += 1
+        count += 1
+        start = end
+    return count
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_min_pieces_matches_linear_scan(seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(-1.0, 1.0, 3)
+    freqs = rng.uniform(1.0, 8.0, 3)
+    phases = rng.uniform(0.0, 2.0 * math.pi, 3)
+
+    def f(x):
+        return sum(c * math.sin(w * x + p) for c, w, p in zip(amps, freqs, phases))
+
+    eps = float(rng.choice([1e-2, 1e-3, 1e-4]))
+    grid_n = int(rng.integers(500, 3001))
+    want = linear_scan_pieces(f, (0.0, 2.0), eps, grid_n)
+    assert min_pieces(f, (0.0, 2.0), eps, grid_n) == want
 
 
 # --- asymptotic constant --------------------------------------------------------------------

@@ -271,6 +271,13 @@ def test_sweep_postcondition_violation_exit_code(capsys):
         ["codec", "NET", "--D", "inf"],
         ["build", "cosine", "--D", "inf"],
         ["sweep", "cosine", "--D", "inf"],
+        ["build", "multiply", "--D", "inf"],
+        ["build", "multiply", "--D", "1e300"],
+        ["build", "cosine", "--a", "inf"],
+        ["build", "cosine", "--a", "1e300"],
+        ["build", "weierstrass", "--a", "inf"],
+        ["build", "haar", "--s", "100000"],
+        ["codec", "NET", "--k", "1000"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, tmp_path, argv):

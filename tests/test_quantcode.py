@@ -157,6 +157,12 @@ def test_quantize_rejects_bad_tolerance(eps):
         quantize_network(net, 1, 1.0, eps)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, float("nan")])
+def test_minimal_k_rejects_bad_tolerance(eps):
+    with pytest.raises(QuantizationError, match="tolerance"):
+        minimal_quantization_k(square_network(1e-2), eps)
+
+
 def test_quantize_error_law_on_constructors():
     cases = [
         (square_network(1e-2), 1.0),
