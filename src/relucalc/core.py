@@ -17,8 +17,13 @@ weights (see `_compile`); evaluate_batch and exact_pwl both run the plan
 through `_affine_step`.  The plan keeps the contract because
 - a skipped term A[i, j] x[j] with A[i, j] == 0 is +-0, and adding +-0 to a
   finite sum that started at +0.0 leaves it unchanged;
-- a sum that starts at +0.0 never becomes -0.0, so no layer output (and
-  no post-ReLU value) is -0.0;
+- the plan starts each sum at its first nonzero term a x instead of at
+  0 + a x, which differs only where a x is -0.0; from there the two sums
+  stay equal or are both zero, and the closing bias add turns two zeros
+  into the same value, because the plan stores every bias -0.0 as +0.0
+  (b + 0.0), which the contract's +0.0-started sum cannot tell apart;
+- a sum that starts at +0.0 never becomes -0.0, and neither does its bias
+  add, so no layer output (and no post-ReLU value) is -0.0;
 - a copy row (single weight 1.0, zero bias) outside layer 0 therefore
   computes (0 + 1 * x[j]) + b == x[j], and is a plain gather of the
   post-ReLU value x[j].  Layer 0 reads raw inputs, where -0.0 would become
@@ -145,7 +150,13 @@ class NetworkMetrics:
 
 # --- execution plan ------------------------------------------------------------
 
-CHUNK_POINTS = 4096  # points per pass of evaluate_batch through the plan
+# points per pass of evaluate_batch through the plan.  It must exceed
+# np.getbufsize() // 2 (4096 by default): up to that row length numpy buffers
+# the broadcast (k, 1) weight and bias columns, which makes the multiply and
+# the bias add about twice as slow per element.  From 16384 points on, the
+# larger layer buffers lose to cache (measured on a 2-vCPU host with a 2 MiB
+# L2 per core; see README "Numerics").
+CHUNK_POINTS = 8192
 
 
 class _Step(NamedTuple):
@@ -158,7 +169,7 @@ class _Step(NamedTuple):
     """
 
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]
-    bias: np.ndarray  # (sparse rows, 1)
+    bias: np.ndarray  # (sparse rows, 1), -0.0 stored as +0.0
     copies: np.ndarray  # previous-layer buffer row of each copy row
     rows: int
 
@@ -209,7 +220,7 @@ def _compile(net: ReluNetwork) -> _Plan:
     copy_rows = np.flatnonzero(copy)
     copy_src = src[np.searchsorted(grow, copy_rows)]
     copy_cut = np.searchsorted(copy_rows, row_start)
-    ordered_bias = bias[order].reshape(-1, 1)
+    ordered_bias = (bias[order] + 0.0).reshape(-1, 1)  # -0.0 becomes +0.0
 
     steps = []
     for i in range(depth):
@@ -234,13 +245,14 @@ def _affine_step(step: _Step, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -
     """Pre-activations of one layer in buffer order: h (rows of the previous
     layer, n) -> out (step.rows, n), with tmp at least (len(step.bias), n)."""
     acc = out[: len(step.bias)]
-    acc.fill(0.0)
-    for src, weights in step.terms:
-        t = tmp[: len(src)]
+    for k, (src, weights) in enumerate(step.terms):
+        t = tmp[: len(src)] if k else acc[: len(src)]  # term 0 starts the sum
         np.take(h, src, axis=0, out=t, mode="clip")
         np.multiply(t, weights, out=t)
-        head = acc[: len(src)]
-        np.add(head, t, out=head)
+        if k:
+            head = acc[: len(src)]
+            np.add(head, t, out=head)
+    acc[len(step.terms[0][0]) if step.terms else 0 :].fill(0.0)  # no nonzero weight
     np.add(acc, step.bias, out=acc)
     np.take(h, step.copies, axis=0, out=out[len(step.bias) :], mode="clip")
 

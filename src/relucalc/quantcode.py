@@ -155,7 +155,12 @@ def quantize_network(
         raise QuantizationError("k must be a positive integer")
     m = quantization_resolution(net, k, domain_half_width)
     grid = QuantGrid(m, eps)  # validates eps before it is raised to -k
-    cap = float(eps) ** -k
+    try:
+        cap = float(eps) ** -k
+    except OverflowError:
+        raise ValueError(
+            f"k = {k} is too large: eps**-k exceeds the float range"
+        ) from None
     stats = metrics(net)
     problems = []
     if stats.connectivity > cap:

@@ -289,3 +289,5 @@ def test_bad_arguments_exit_2_with_one_line(capsys, tmp_path, argv):
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
     assert "invalid parameters" in stderr
+    if "--k" in argv:
+        assert "k = " in stderr

@@ -6,6 +6,7 @@ import pytest
 
 from relucalc import evaluate_batch, network, write_network
 from relucalc import constructors as c
+from relucalc.analysis import exact_pwl
 from relucalc.calculus import linear_combination_shared, parallelize_shared
 
 WARP = c.SmoothDescriptor(lambda x: 1.0 / (2.0 - x), (-1.0, 1.0), "warp")
@@ -137,3 +138,20 @@ OUTPUT_DIGESTS = {
 @pytest.mark.parametrize("key", sorted(BUILDS))
 def test_construction_outputs_are_pinned(key):
     assert hashlib.sha256(_outputs(BUILDS[key]())).hexdigest() == OUTPUT_DIGESTS[key]
+
+
+NOT_1D = {"cutoff2", "cutoff3", "gauss2", "gauss3", "mult", "multiply", "par_shared"}
+
+
+@pytest.mark.parametrize("key", sorted(set(BUILDS) - NOT_1D))
+@pytest.mark.parametrize("interval", [(-0.3, -0.28), (0.41, 0.425)])
+def test_exact_pwl_endpoints_equal_evaluate_batch(key, interval):
+    # exact_pwl runs the same plan step as evaluate_batch, so the values at
+    # the interval's ends are bitwise equal; short intervals keep the
+    # breakpoint count of the deep builds small
+    net = BUILDS[key]()
+    pwl = exact_pwl(net, interval)
+    ends = pwl.breakpoints[[0, -1]]
+    assert ends.tolist() == list(interval)
+    want = evaluate_batch(net, ends.reshape(-1, 1))[:, 0]
+    assert np.array_equal(pwl.values[[0, -1]].view(np.uint64), want.view(np.uint64))

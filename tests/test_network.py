@@ -14,6 +14,7 @@ from relucalc import (
     read_network,
     write_network,
 )
+from relucalc import core
 from conftest import hat_reference, random_net
 
 
@@ -240,7 +241,8 @@ def sparse_random_net(rng, depth):
 def test_evaluate_batch_matches_reference_on_sparse_nets():
     rng = np.random.default_rng(21)
     nets = [sparse_random_net(rng, depth=1 + i % 5) for i in range(60)]
-    sizes = [0, 1, 64, 4095, 4096, 4097]
+    chunk = core.CHUNK_POINTS
+    sizes = [0, 1, 64, 4095, 4096, 4097, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]
     for i, net in enumerate(nets):
         n = sizes[i % len(sizes)]
         xs = rng.uniform(-3, 3, size=(n, net.in_dim))
@@ -250,6 +252,36 @@ def test_evaluate_batch_matches_reference_on_sparse_nets():
         want = column_sequential(net, xs)
         assert got.shape == (n, net.out_dim)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_chunk_is_above_numpy_buffered_broadcast_threshold():
+    assert core.CHUNK_POINTS > np.getbufsize() // 2
+
+
+def assert_bitwise_column_sequential(net, xs):
+    got = evaluate_batch(net, xs)
+    want = column_sequential(net, xs)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_signed_zero_sums_with_negative_zero_bias():
+    """The plan starts each sum at its first term, so a -0.0 product stays
+    -0.0 until the bias add, where the contract's sum, started at +0.0, is
+    +0.0.  A -0.0 bias would keep the -0.0 (-0.0 + -0.0), so every case
+    below adds bias -0.0 to a zero sum.  Rows with no nonzero weight start
+    from the zero fill instead."""
+    zeros = [[-0.0], [0.0], [-1.0], [1.0]]
+    # one-term rows in layer 0 fed -0.0: 1 * -0.0 and -3 * +0.0 are -0.0
+    assert_bitwise_column_sequential(network([([[1.0], [-3.0]], [-0.0, -0.0])]), zeros)
+    # deep rows whose first term is a negative weight on a +0.0 post-ReLU value
+    # (relu(x) at x <= 0, relu(-x) at x >= 0), alone or before a second term
+    relus = ([[1.0], [-1.0]], [0.0, 0.0])
+    deep = ([[-2.0, 0.0], [-2.0, -3.0], [0.0, -2.0]], [-0.0, -0.0, -0.0])
+    assert_bitwise_column_sequential(network([relus, deep]), zeros)
+    # rows with no nonzero weight, in layer 0 and deeper
+    empty = ([[0.0], [-0.0]], [-0.0, -0.0])
+    assert_bitwise_column_sequential(network([empty]), zeros)
+    assert_bitwise_column_sequential(network([relus, ([[0.0, -0.0]], [-0.0])]), zeros)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -150,6 +150,13 @@ def test_quantize_reports_violations():
     quantize_network(net, k, 1.0, 0.25)  # succeeds
 
 
+def test_quantize_rejects_k_past_float_range():
+    # a usage error, not a failed precondition: eps**-k is not a float
+    with pytest.raises(ValueError, match="k = 1000") as err:
+        quantize_network(network([([[0.3]], [0.0])]), 1000, 1.0, 0.01)
+    assert not isinstance(err.value, QuantizationError)
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.5, 0.7])
 def test_quantize_rejects_bad_tolerance(eps):
     net = network([([[0.3]], [0.0])])
