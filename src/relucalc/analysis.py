@@ -62,24 +62,53 @@ class PwlFunction:
 def _relu_pass(grid: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Insert zero crossings of each neuron into the grid, then clip.
 
-    vals holds one row per neuron and one column per grid point.
+    vals holds one row per neuron and one column per grid point; it must be
+    a fresh array, because the clip writes into it.
+
+    A crossing of segment [x0, x1] lies at x0 + (x1 - x0) * (v0 / (v0 - v1)).
+    Crossings that equal a grid point, or that lie within BREAK_MERGE_TOL
+    of the right end b, are dropped, so both ends of the interval always
+    survive.  In the merged grid a point closer than BREAK_MERGE_TOL to its
+    predecessor is dropped (the earlier point wins).  The surviving old
+    columns are copied, not recomputed.  An inserted point x in
+    (x[j], x[j+1]) gets np.interp's value for every neuron,
+    (y[j+1] - y[j]) / (x[j+1] - x[j]) * (x - x[j]) + y[j], so the result
+    is bitwise equal to re-interpolating each neuron over the merged grid.
     """
-    v0, v1 = vals[:, :-1], vals[:, 1:]
-    rows, idx = np.nonzero((v0 < 0) & (v1 > 0) | (v0 > 0) & (v1 < 0))
-    if idx.size:
-        v0, v1 = v0[rows, idx], v1[rows, idx]
+    neg, pos = vals < 0, vals > 0
+    flip = neg[:, :-1] & pos[:, 1:]
+    flip |= pos[:, :-1] & neg[:, 1:]
+    hits = np.flatnonzero(flip)
+    if hits.size:
+        rows, idx = divmod(hits, grid.size - 1)
+        v0, v1 = vals[rows, idx], vals[rows, idx + 1]
         x0, x1 = grid[idx], grid[idx + 1]
-        merged = np.union1d(grid, x0 + (x1 - x0) * (v0 / (v0 - v1)))
-        # drop points closer than the merge tolerance to an existing one
-        keep = np.empty(merged.shape, dtype=bool)
-        keep[0] = True
+        cross = np.unique(x0 + (x1 - x0) * (v0 / (v0 - v1)))
+        cross = cross[grid[-1] - cross > BREAK_MERGE_TOL]
+        at = np.searchsorted(grid, cross)
+        fresh = grid[at] != cross
+        cross, at = cross[fresh], at[fresh]
+        merged = np.insert(grid, at, cross)
+        keep = np.empty(merged.size, dtype=bool)
         keep[1:] = np.diff(merged) > BREAK_MERGE_TOL
-        merged = merged[keep]
-        new_vals = np.empty((vals.shape[0], merged.size))
-        for new_row, row in zip(new_vals, vals):
-            new_row[:] = np.interp(merged, grid, row)
-        grid, vals = merged, new_vals
-    return grid, np.maximum(vals, 0.0)
+        keep[[0, -1]] = True
+        slot = at + np.arange(at.size)
+        is_new = np.zeros(merged.size, dtype=bool)
+        is_new[slot] = True
+        old_keep, new_keep = keep[~is_new], keep[slot]
+        is_new = is_new[keep]
+        is_old = ~is_new
+        # a crossing just before an old point drops that point's column
+        src = vals if old_keep.all() else vals[:, old_keep]
+        out = np.empty((vals.shape[0], is_new.size))
+        for out_row, row in zip(out, src):
+            out_row[is_old] = row
+        x, j = cross[new_keep], at[new_keep] - 1
+        x0, x1 = grid[j], grid[j + 1]
+        y0, y1 = vals[:, j], vals[:, j + 1]
+        out[:, is_new] = (y1 - y0) / (x1 - x0) * (x - x0) + y0
+        grid, vals = merged[keep], out
+    return grid, np.maximum(vals, 0.0, out=vals)
 
 
 def _interval(bounds, what: str = "interval") -> tuple[float, float]:
@@ -99,6 +128,10 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     linear between current breakpoints, and its zero crossings become new
     breakpoints before the ReLU clip.  Preactivations come from the same
     plan step as evaluate_batch, so they are bitwise equal to its values.
+    After each insertion a breakpoint closer than BREAK_MERGE_TOL to its
+    predecessor is dropped, and a crossing that close to b is dropped
+    instead of b, so a and b are always kept.  Values at breakpoints that
+    stay are copied; inserted ones get np.interp's formula (see _relu_pass).
     """
     if net.in_dim != 1 or net.out_dim != 1:
         raise DimensionError("exact piecewise form needs a 1-D network")

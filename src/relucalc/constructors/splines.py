@@ -205,8 +205,13 @@ def haar_element_network(n: int, k: int, eps: float) -> ReluNetwork:
         raise ValueError(f"shift index {k} out of range for scale {n}")
     _check_eps(eps)
     delta = eps * eps
-    amp = 2.0 ** (n / 2.0)
-    dil = 2.0 ** n
+    try:
+        amp = 2.0 ** (n / 2.0)
+        dil = 2.0 ** n
+    except OverflowError:
+        raise ValueError(
+            f"scale index n = {n} is too large: 2**n exceeds the float range"
+        ) from None
     mat = [[dil]] * 6
     bias = [
         -k + delta,

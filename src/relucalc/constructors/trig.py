@@ -45,9 +45,15 @@ def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
     a_eff = a * d if d > 1.0 else a
     core = _scaled_cosine_core(eps)
     if a_eff > math.pi:
-        s = math.ceil(math.log2(a_eff) - math.log2(math.pi))
+        try:
+            s = math.ceil(math.log2(a_eff) - math.log2(math.pi))
+            folded = reduce_weights(sawtooth_network(s))
+        except OverflowError:
+            raise ValueError(
+                f"frequency a = {a} is too large for half-width D = {d}: "
+                "folding a * D onto [-1, 1] exceeds the float range"
+            ) from None
         alpha = a_eff / (math.pi * 2.0 ** s)
-        folded = reduce_weights(sawtooth_network(s))
         absval = ReluNetwork(
             (
                 AffineLayer([[1.0], [-1.0]], [0.0, 0.0]),

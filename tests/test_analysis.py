@@ -79,6 +79,100 @@ def test_pwl_rejects_multidim():
         exact_pwl(net, (0.0, 1.0))
 
 
+def _relu_pass_by_interp(grid, vals):
+    # the former _relu_pass: union of grid and crossings, merge rule, then one
+    # np.interp per neuron over the whole merged grid
+    v0, v1 = vals[:, :-1], vals[:, 1:]
+    rows, idx = np.nonzero((v0 < 0) & (v1 > 0) | (v0 > 0) & (v1 < 0))
+    if idx.size:
+        v0, v1 = v0[rows, idx], v1[rows, idx]
+        x0, x1 = grid[idx], grid[idx + 1]
+        merged = np.union1d(grid, x0 + (x1 - x0) * (v0 / (v0 - v1)))
+        keep = np.empty(merged.shape, dtype=bool)
+        keep[0] = True
+        keep[1:] = np.diff(merged) > analysis.BREAK_MERGE_TOL
+        merged = merged[keep]
+        new_vals = np.empty((vals.shape[0], merged.size))
+        for new_row, row in zip(new_vals, vals):
+            new_row[:] = np.interp(merged, grid, row)
+        grid, vals = merged, new_vals
+    return grid, np.maximum(vals, 0.0)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_relu_pass_matches_per_neuron_interp_on_random_nets(monkeypatch):
+    rng = np.random.default_rng(11)
+    nets = [random_net(rng, in_dim=1, out_dim=1) for _ in range(60)]
+    nets += [sawtooth_network(s) for s in (3, 7)]
+    for net in nets:
+        got = exact_pwl(net, (-3.0, 3.0))
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_relu_pass", _relu_pass_by_interp)
+            want = exact_pwl(net, (-3.0, 3.0))
+        _assert_same_bits(
+            (got.breakpoints, got.values), (want.breakpoints, want.values)
+        )
+
+
+TOL = analysis.BREAK_MERGE_TOL
+HAND_MADE = {
+    # crossings of [0, 1] and [1, 2] that round onto x1 and onto x0
+    "onto_grid": ([0.0, 1.0, 2.0], [[1.0, -1e-17, 3.0], [-3.0, 1e-17, -1.0]]),
+    # a crossing 0.5 TOL before the old point 1.0 drops that point
+    "drops_old": ([0.0, 1.0, 2.0], [[1.0, -TOL / 2, 1.0], [2.0, 1.0, -1.0]]),
+    # a crossing 0.5 TOL after the old point 1.0 is dropped
+    "drops_crossing": ([0.0, 1.0, 2.0], [[1.0, 1.0, -1.0], [1.0, TOL / 2, -1.0]]),
+    # two neurons crossing at nearly the same point, and exact zeros
+    "near_pair": (
+        [-1.0, 0.5, 3.0],
+        [[-1.0, 1.0, 0.0], [-1.0 - 1e-13, 1.0, 0.0], [0.0, -2.0, 4.0]],
+    ),
+    "no_crossing": ([0.0, 1.0], [[1.0, 2.0], [0.0, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_MADE))
+def test_relu_pass_matches_per_neuron_interp_on_hand_made_grids(case):
+    grid, vals = (np.array(a, dtype=np.float64) for a in HAND_MADE[case])
+    want = _relu_pass_by_interp(grid, vals)
+    _assert_same_bits(analysis._relu_pass(grid.copy(), vals.copy()), want)
+
+
+def test_relu_pass_matches_per_neuron_interp_on_random_grids():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        grid = np.unique(rng.uniform(-1.0, 1.0, size=n))
+        vals = rng.normal(size=(int(rng.integers(1, 6)), grid.size))
+        vals[rng.uniform(size=vals.shape) < 0.1] = 0.0
+        want = _relu_pass_by_interp(grid, vals)
+        _assert_same_bits(analysis._relu_pass(grid.copy(), vals.copy()), want)
+
+
+def test_pwl_keeps_right_end_next_to_a_crossing():
+    # the first neuron crosses zero 5e-13 before b; the crossing is dropped
+    # and b keeps its own value
+    net = network([([[1.0]], [-(1 - 5e-13)]), ([[1.0]], [0.0])])
+    pwl = exact_pwl(net, (0.0, 1.0))
+    assert pwl.breakpoints[-1] == 1.0
+    want = evaluate_batch(net, np.array([[1.0]]))[0, 0]
+    assert pwl.values[-1] == want
+    assert want > 4e-13
+
+
+def test_pwl_of_crossing_inside_tiny_interval():
+    net = network([([[1.0]], [-5e-14]), ([[1.0]], [0.0])])
+    pwl = exact_pwl(net, (0.0, 1e-13))
+    assert pwl.breakpoints.tolist() == [0.0, 1e-13]
+    want = evaluate_batch(net, pwl.breakpoints.reshape(-1, 1))[:, 0]
+    assert np.array_equal(pwl.values, want)
+
+
 # --- region counting --------------------------------------------------------------------
 
 

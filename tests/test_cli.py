@@ -291,3 +291,7 @@ def test_bad_arguments_exit_2_with_one_line(capsys, tmp_path, argv):
     assert "invalid parameters" in stderr
     if "--k" in argv:
         assert "k = " in stderr
+    if "--a" in argv:
+        assert "a = " in stderr
+    if argv[:2] == ["build", "haar"]:
+        assert "n = 100000" in stderr

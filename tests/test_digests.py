@@ -155,3 +155,63 @@ def test_exact_pwl_endpoints_equal_evaluate_batch(key, interval):
     assert ends.tolist() == list(interval)
     want = evaluate_batch(net, ends.reshape(-1, 1))[:, 0]
     assert np.array_equal(pwl.values[[0, -1]].view(np.uint64), want.view(np.uint64))
+
+
+def _pwl_digest(pwl) -> str:
+    return hashlib.sha256(pwl.breakpoints.tobytes() + pwl.values.tobytes()).hexdigest()
+
+
+# sha256 of exact_pwl's breakpoints and values for each 1-D build on the two
+# short intervals above
+PWL_DIGESTS = {
+    ("bspline1", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
+    ("bspline1", (0.41, 0.425)): "90c51b5bc28aa4181c8344abac44803ca716e944920f38ce00ead1aca6faa99d",
+    ("bspline3", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
+    ("bspline3", (0.41, 0.425)): "7d9835fddd690f8d4c939e7802904fe6b2e585ac6dddd2e8863b9e93e5f25241",
+    ("cos100", (-0.3, -0.28)): "39817e19ef10ba3afec5f16f73a9d3f5d087cceeab75b773683c514f4d9cb3d9",
+    ("cos100", (0.41, 0.425)): "ed973739c3808ec67f45d0ffcb6c10d607679849dbf3e60faf19ebc9ae221a99",
+    ("cos30", (-0.3, -0.28)): "dc42385a9a641bc25b01d817dfd34361fceb4c8ea5174d06462af0574ded31f2",
+    ("cos30", (0.41, 0.425)): "ced1949e9e92e926fd630fdb46bb7887b6460da93d996bc205ad46ad187d922e",
+    ("cutoff1", (-0.3, -0.28)): "cc15ca7004cabc334bae1dfa3f7b43f885e56c0bfe4458bf7101d8a7b065e3e2",
+    ("cutoff1", (0.41, 0.425)): "4fe3059cbe5d2421e852272be3480253911aa9c2816c0b0f40b461808314e266",
+    ("gauss1", (-0.3, -0.28)): "74dea36db76246c58f010a4490203a1fbd4a73ee61703db67cfd5f829fcffc8b",
+    ("gauss1", (0.41, 0.425)): "0c125cc1c51f3ec7ddce6e959ec505b9b54beaab406619bd79670576ed85d3dd",
+    ("haar_element", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
+    ("haar_element", (0.41, 0.425)): "66b2b2b7805a66bcc17647f84854bd24f0ef0b9038fe788b0c315db70b094f8d",
+    ("haar_mother", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
+    ("haar_mother", (0.41, 0.425)): "4fe3059cbe5d2421e852272be3480253911aa9c2816c0b0f40b461808314e266",
+    ("lincomb_shared", (-0.3, -0.28)): "5efb9913879d731be7b061be8b1d6436f6205dd6064d0b191c499011be2fa8c4",
+    ("lincomb_shared", (0.41, 0.425)): "afb74af4181df36c7ae9cad6f8794779f725c45e751f9f0463d054340159599c",
+    ("lincomb_shared_d1", (-0.3, -0.28)): "0fb2e3c6b93c450c54b3a1bddef5ef0f6a50865b0799d55fd67bc96f3cce7be1",
+    ("lincomb_shared_d1", (0.41, 0.425)): "90adfb937b9c29980a6dc815cd5e4620f050c78846a88dd47e3a31f51187595a",
+    ("modulated_im", (-0.3, -0.28)): "f6960e7b064cd3e593fa316da3e7ef323f43759c497eb11391062e37473240fb",
+    ("modulated_im", (0.41, 0.425)): "87900e6b4e8a3bdb43b5dd7dcb2d0a15a64d7e3919745a5b9ff26d3d74e36ecb",
+    ("modulated_re", (-0.3, -0.28)): "48ca4526c2ac4bc258d3252bd7b9736252c6e20f8c35434e8e3447c83c3dd40e",
+    ("modulated_re", (0.41, 0.425)): "2ee194df73c36d8b188da4c53cd89741d4fe24be7f52050c35da6b04639450d0",
+    ("oscillatory", (-0.3, -0.28)): "c1fa697391bd1abe6447c7db4b1de5994c6b0fb2f8d62eb0a579a1152bd419fc",
+    ("oscillatory", (0.41, 0.425)): "4abe551cb26347e515ff140effa41528807d8f976a17cf71b810bc3638821721",
+    ("polynomial", (-0.3, -0.28)): "c9983854c585c3a70ab27d4e17a42a5578304f81a75e271cac1280abf8d4096a",
+    ("polynomial", (0.41, 0.425)): "00a3773de2b56f45f45603395bf341995b4bc8e67a284645a378eda90e4140e7",
+    ("smooth_general", (-0.3, -0.28)): "68df4c705ed197adb48ac9b5d48b5b697589d6918fb9acac809949095f86c91f",
+    ("smooth_general", (0.41, 0.425)): "749e9c069a79d3cc6645dfadb7d07812b3ecfd408cbcfb509a64003cb5510568",
+    ("stitch", (-0.3, -0.28)): "e40d9e5ba561a29225ae466fee33248edc230004d1df67fb927b8b1cea525795",
+    ("stitch", (0.41, 0.425)): "9be31335625a252ac1630b9a223877f1502c8d5367736c130ab1df6e51025881",
+    ("wavelet2", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
+    ("wavelet2", (0.41, 0.425)): "541767151ce7f09d3efb88e6cbd3d1cbaed7489429ad124c8a7ae48b00a55277",
+    ("weier", (-0.3, -0.28)): "4fc85425d481b390cea297730bd43af806c496008995905695933f41b5ba7b25",
+    ("weier", (0.41, 0.425)): "b1d1ee51ec077060169552499e786ed9a1a622bc88d0cff28f555b5e355790c8",
+}
+
+
+@pytest.mark.parametrize("key, interval", sorted(PWL_DIGESTS))
+def test_exact_pwl_is_pinned(key, interval):
+    pwl = exact_pwl(BUILDS[key](), interval)
+    assert _pwl_digest(pwl) == PWL_DIGESTS[(key, interval)]
+
+
+def test_exact_pwl_of_bspline3_is_pinned():
+    pwl = exact_pwl(BUILDS["bspline3"](), (-2.0, 5.0))
+    assert pwl.breakpoints.size == 3880
+    assert _pwl_digest(pwl) == (
+        "65aab0abd7fbf90bf7c00887ba2cbc2274974d354a6ba68b8e8d9afc095b31f4"
+    )
