@@ -10,9 +10,7 @@ from .core import (
     NetworkFormatError,
     NetworkMetrics,
     ReluNetwork,
-    evaluate,
     evaluate_batch,
-    evaluate_scalar,
     metrics,
     network,
     read_network,

@@ -15,6 +15,7 @@ from .core import (
     DimensionError,
     ReluNetwork,
     _affine_step,
+    _interval,
     evaluate_batch,
     metrics,
 )
@@ -111,16 +112,6 @@ def _relu_pass(grid: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return grid, np.maximum(vals, 0.0, out=vals)
 
 
-def _interval(bounds, what: str = "interval") -> tuple[float, float]:
-    """(a, b) as floats, checked to be a nonempty interval with finite ends."""
-    a, b = float(bounds[0]), float(bounds[1])
-    if not a < b:
-        raise ValueError(f"empty {what} [{a}, {b}]")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"{what} [{a}, {b}] has an infinite end")
-    return a, b
-
-
 def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     """Exact piecewise-linear form of a 1-in 1-out network on [a, b].
 
@@ -180,15 +171,6 @@ class ErrorReport:
     sup_error: float
     l2_error: float
     argmax: tuple
-
-    def csv_row(self) -> str:
-        lo = "x".join(f"{float(a):.16e}" for a, _ in self.domain)
-        hi = "x".join(f"{float(b):.16e}" for _, b in self.domain)
-        arg = "x".join(f"{float(x):.16e}" for x in self.argmax)
-        return (
-            f"{lo},{hi},{self.grid_n},{self.sup_error:.16e},"
-            f"{self.l2_error:.16e},{arg}"
-        )
 
 
 def _normalize_domain(domain) -> list[tuple[float, float]]:

@@ -159,11 +159,11 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _sweep_grid(dim: int, grid: int) -> int:
+def _axis_points(dim: int, points: int) -> int:
+    """Points per axis of a dim-D tensor grid of about `points` points."""
     if dim == 1:
-        return grid
-    per_axis = int(round(grid ** (1.0 / dim)))
-    return max(33, per_axis)
+        return points
+    return max(2, round(points ** (1.0 / dim)))
 
 
 def cmd_sweep(args) -> int:
@@ -181,7 +181,7 @@ def cmd_sweep(args) -> int:
     for eps in args.eps_list:
         net = build(args, eps)
         report = analysis.error_report(
-            net, reference, domain(args, eps), _sweep_grid(net.in_dim, args.grid)
+            net, reference, domain(args, eps), _axis_points(net.in_dim, args.grid)
         )
         m = metrics(net)
         lines.append(
@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
 def cmd_codec(args) -> int:
     """quantize, encode, decode, verify"""
     net = _read(args.netfile)
-    grid_n = 101 if net.in_dim > 1 else min(args.grid, 20_001)
+    grid_n = _axis_points(net.in_dim, min(args.grid, 20_001))
     _, axes = analysis._uniform_axes(net, [(-args.D, args.D)] * net.in_dim, grid_n)
     try:
         quant, m = quantcode.quantize_network(net, args.k, args.D, args.eps)
@@ -209,15 +209,7 @@ def cmd_codec(args) -> int:
         raise _Exit(EXIT_DATA, f"quantization precondition failed: {exc}") from exc
     except quantcode.CodecError as exc:
         raise _Exit(EXIT_DATA, f"codec error: {exc}") from exc
-    ok = back is not None and quant.dims == back.dims
-    if ok:
-        for la, lb in zip(quant.layers, back.layers):
-            if not (
-                np.array_equal(la.matrix, lb.matrix)
-                and np.array_equal(la.bias, lb.bias)
-            ):
-                ok = False
-                break
+    ok = back == quant
     pts = analysis._mesh_points(axes)
     deviation = float(
         np.max(

@@ -82,7 +82,13 @@ def multiply_refinement_steps(half_width: float, eps: float) -> int:
     """Refinement count for the two-input multiplier on [-D, D]**2."""
     _check_eps(eps)
     d = max(1.0, half_width)
-    return max(2, math.ceil(0.5 * (1.0 + math.log2(d * d / eps))))
+    ratio = d * d / eps
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"half-width D = {half_width} is too large for eps = {eps}: "
+            "D**2 / eps exceeds the float range"
+        )
+    return max(2, math.ceil(0.5 * (1.0 + math.log2(ratio))))
 
 
 def multiply_network(half_width: float, eps: float) -> ReluNetwork:

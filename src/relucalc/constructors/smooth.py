@@ -22,7 +22,7 @@ from ..calculus import (
     reduce_weights,
     sum_finite_width,
 )
-from ..core import AffineLayer, ReluNetwork
+from ..core import AffineLayer, ReluNetwork, _interval
 from .algebra import _check_eps, _product, polynomial_network
 
 MAX_DEGREE = 40
@@ -39,9 +39,7 @@ class SmoothDescriptor:
     label: str = ""
 
     def __post_init__(self):
-        a, b = self.interval
-        if not a < b:
-            raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+        a, b = _interval(self.interval)
         probes = np.linspace(a, b, 33)
         values = [self.evaluator(float(x)) for x in probes]
         if not np.all(np.isfinite(values)):

@@ -32,6 +32,7 @@ through `_affine_step`.  The plan keeps the contract because
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -41,6 +42,16 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Input or layer dimensions do not match."""
+
+
+def _interval(bounds, what: str = "interval") -> tuple[float, float]:
+    """(a, b) as floats, checked to be a nonempty interval with finite ends."""
+    a, b = float(bounds[0]), float(bounds[1])
+    if not a < b:
+        raise ValueError(f"empty {what} [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"{what} [{a}, {b}] has an infinite end")
+    return a, b
 
 
 def _frozen_array(data, shape_kind: str) -> np.ndarray:
@@ -76,6 +87,14 @@ class AffineLayer:
         if self.matrix.shape[0] < 1 or self.matrix.shape[1] < 1:
             raise DimensionError("layer dimensions must be positive")
 
+    def __eq__(self, other):
+        """Equal shapes and equal float64 bit patterns, so -0.0 != +0.0."""
+        if not isinstance(other, AffineLayer):
+            return NotImplemented
+        return np.array_equal(
+            self.matrix.view(np.uint64), other.matrix.view(np.uint64)
+        ) and np.array_equal(self.bias.view(np.uint64), other.bias.view(np.uint64))
+
     @property
     def in_dim(self) -> int:
         return self.matrix.shape[1]
@@ -87,7 +106,10 @@ class AffineLayer:
 
 @dataclass(frozen=True)
 class ReluNetwork:
-    """Nonempty chain of affine layers with component-wise ReLU in between."""
+    """Nonempty chain of affine layers with component-wise ReLU in between.
+
+    Two networks are == when their layers are, i.e. bitwise equal.
+    """
 
     layers: tuple[AffineLayer, ...]
 
@@ -118,9 +140,6 @@ class ReluNetwork:
     def dims(self) -> tuple[int, ...]:
         """Layer dimensions N_0, ..., N_L (input and output included)."""
         return (self.in_dim,) + tuple(layer.out_dim for layer in self.layers)
-
-    def __call__(self, x):
-        return evaluate(self, x)
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -260,6 +279,10 @@ def _affine_step(step: _Step, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -
 def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
     """Evaluate the network on a batch of inputs, shape (n, in_dim) -> (n, out_dim).
 
+    This is the one evaluator.  A single point is a one-row batch:
+    evaluate_batch(net, p)[0] is the output vector at point p, and
+    evaluate_batch(net, x)[0, 0] the value of a 1-in 1-out network at x.
+
     Runs the network's plan over chunks of CHUNK_POINTS points.  Outputs are
     bitwise equal to the column-sequential sum of the module docstring as
     long as every pre-activation is finite; non-finite inputs raise
@@ -290,27 +313,6 @@ def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
             h = nxt
         out[start : start + n] = h[plan.out_rows].T
     return out
-
-
-def evaluate(net: ReluNetwork, x) -> np.ndarray:
-    """Evaluate the network at a single input vector of length in_dim."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.ndim != 1:
-        raise DimensionError("evaluate expects a single input vector")
-    if x.shape[0] != net.in_dim:
-        raise DimensionError(
-            f"input has {x.shape[0]} coordinates, network expects {net.in_dim}"
-        )
-    return evaluate_batch(net, x.reshape(1, -1))[0]
-
-
-def evaluate_scalar(net: ReluNetwork, x: float) -> float:
-    """Evaluate a 1-in 1-out network at a scalar point."""
-    if net.in_dim != 1 or net.out_dim != 1:
-        raise DimensionError("evaluate_scalar needs a 1-D network")
-    return float(evaluate(net, [x])[0])
 
 
 def metrics(net: ReluNetwork) -> NetworkMetrics:

@@ -64,17 +64,6 @@ class QuantGrid:
         """t such that the lattice step is 2**-t."""
         return self.m * _ceil_log2_inv(self.eps)
 
-    @property
-    def step(self) -> float:
-        return 2.0 ** -self.step_exponent
-
-    @property
-    def bound(self) -> float:
-        try:
-            return float(self.eps) ** -self.m
-        except OverflowError:
-            return math.inf
-
     @cached_property
     def max_index(self) -> int:
         """Largest |index| in the clip range: |index| * 2**-t <= eps**-m,
@@ -260,16 +249,6 @@ class BitString:
         if nbits % 8:
             out._bytes[-1] &= 0xFF << (8 - nbits % 8) & 0xFF
         return out
-
-
-def write_bitstring(bits: BitString, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(bits.to_bytes())
-
-
-def read_bitstring(path) -> BitString:
-    with open(path, "rb") as fh:
-        return BitString.from_bytes(fh.read())
 
 
 # --- codec ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relucalc import ReluNetwork, network
+from relucalc import ReluNetwork, evaluate_batch, network
 
 
 def hat_reference(x: float) -> float:
@@ -29,6 +29,11 @@ def hat_net() -> ReluNetwork:
             ([[2.0, -4.0, 2.0]], [0.0]),
         ]
     )
+
+
+def grid_eval(net, xs):
+    """Values of a 1-in 1-out network at each point of xs."""
+    return evaluate_batch(net, np.asarray(xs).reshape(-1, 1))[:, 0]
 
 
 def random_net(rng: np.random.Generator, in_dim=None, out_dim=None) -> ReluNetwork:

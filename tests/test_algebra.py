@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from relucalc import evaluate_batch, evaluate_scalar, metrics
+from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
     multiply_network,
     multiply_refinement_steps,
@@ -11,22 +11,18 @@ from relucalc.constructors import (
     square_network,
     square_refinement_steps,
 )
-from conftest import hat_iterate
-
-
-def grid_eval(net, xs):
-    return evaluate_batch(net, np.asarray(xs).reshape(-1, 1))[:, 0]
+from conftest import grid_eval, hat_iterate
 
 
 # --- sawtooth -------------------------------------------------------------------
 
 
 def test_sawtooth_order_one_peak():
-    assert evaluate_scalar(sawtooth_network(1), 0.5) == 1.0
+    assert evaluate_batch(sawtooth_network(1), 0.5)[0, 0] == 1.0
 
 
 def test_sawtooth_order_two():
-    assert evaluate_scalar(sawtooth_network(2), 0.25) == 1.0
+    assert evaluate_batch(sawtooth_network(2), 0.25)[0, 0] == 1.0
 
 
 def test_sawtooth_matches_iterated_hat():
@@ -69,18 +65,18 @@ def test_square_refinement_steps():
 
 def test_square_interpolation_node():
     net = square_interpolant_network(1)
-    assert evaluate_scalar(net, 0.5) == 0.25
+    assert evaluate_batch(net, 0.5)[0, 0] == 0.25
 
 
 def test_square_midpoint_error():
     net = square_interpolant_network(1)
-    assert evaluate_scalar(net, 0.25) == 0.125
-    assert abs(evaluate_scalar(net, 0.25) - 0.25 ** 2) == 2.0 ** -4
+    assert evaluate_batch(net, 0.25)[0, 0] == 0.125
+    assert abs(evaluate_batch(net, 0.25)[0, 0] - 0.25 ** 2) == 2.0 ** -4
 
 
 def test_square_zero_exact():
     for eps in (0.4, 1e-2, 1e-6):
-        assert evaluate_scalar(square_network(eps), 0.0) == 0.0
+        assert evaluate_batch(square_network(eps), 0.0)[0, 0] == 0.0
 
 
 def test_square_error_is_tight():
@@ -153,7 +149,7 @@ def test_multiply_shape():
 
 def test_polynomial_constant_exact():
     net = polynomial_network([2.5], 1.0, 1e-3)
-    assert evaluate_scalar(net, 0.3) == 2.5
+    assert evaluate_batch(net, 0.3)[0, 0] == 2.5
     assert polynomial_network([0.4], 1.0, 1e-3).depth == 1
 
 
@@ -165,7 +161,7 @@ def test_polynomial_identity_exact():
 
 def test_polynomial_one_minus_square():
     net = polynomial_network([1.0, 0.0, -1.0], 1.0, 1e-3)
-    assert abs(evaluate_scalar(net, 0.5) - 0.75) <= 1e-3
+    assert abs(evaluate_batch(net, 0.5)[0, 0] - 0.75) <= 1e-3
 
 
 def test_polynomial_width_and_magnitude():

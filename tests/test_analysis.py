@@ -218,12 +218,6 @@ def test_sup_error_outside_support(hat_net):
     assert report.sup_error == 0.0
 
 
-def test_error_report_csv_round_trip(hat_net):
-    report = error_report(hat_net, lambda x: 0.0, (0.0, 1.0), 11)
-    row = report.csv_row()
-    assert len(row.split(",")) == 6
-
-
 def test_l2_error_2d():
     # product trapezoid weights on a 2-D box
     net = network([([[1.0, 1.0]], [0.0])])

@@ -89,6 +89,18 @@ def test_sweep_gaussian_meets_tolerance(capsys):
     assert err <= eps
 
 
+def test_sweep_splits_the_grid_across_six_axes(capsys):
+    # 11 points over 6 axes is 2 per axis; a fixed per-axis floor of 33
+    # would ask for 33**6 points (about 10 GB)
+    code, stdout, _ = run_cli(
+        capsys, "sweep", "gaussian", "--m", "6", "--eps-list", "0.1",
+        "--grid", "11",
+    )
+    assert code == 0
+    eps, err = (float(v) for v in stdout.strip().splitlines()[1].split(",")[:2])
+    assert err <= eps
+
+
 def test_sweep_without_reference_is_usage_error(capsys):
     code, _, stderr = run_cli(capsys, "sweep", "sawtooth")
     assert code == 2
@@ -295,3 +307,5 @@ def test_bad_arguments_exit_2_with_one_line(capsys, tmp_path, argv):
         assert "a = " in stderr
     if argv[:2] == ["build", "haar"]:
         assert "n = 100000" in stderr
+    if argv[:2] == ["build", "multiply"]:
+        assert "D = " in stderr

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relucalc import evaluate, evaluate_batch, evaluate_scalar, metrics
+from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
     cutoff_network,
     gaussian_network,
@@ -11,9 +11,7 @@ from relucalc.constructors import (
 )
 from relucalc.constructors.splines import _plateau_gate
 
-
-def grid_eval(net, xs):
-    return evaluate_batch(net, np.asarray(xs).reshape(-1, 1))[:, 0]
+from conftest import grid_eval
 
 
 # --- cutoff ------------------------------------------------------------------------
@@ -21,10 +19,10 @@ def grid_eval(net, xs):
 
 def test_cutoff_1d_values():
     net = cutoff_network(2.0, 1)
-    assert evaluate_scalar(net, 0.0) == 1.0
-    assert evaluate_scalar(net, 3.5) == 0.0
-    assert evaluate_scalar(net, -3.5) == 0.0
-    assert evaluate_scalar(net, 2.5) == 0.5
+    assert evaluate_batch(net, 0.0)[0, 0] == 1.0
+    assert evaluate_batch(net, 3.5)[0, 0] == 0.0
+    assert evaluate_batch(net, -3.5)[0, 0] == 0.0
+    assert evaluate_batch(net, 2.5)[0, 0] == 0.5
 
 
 # (gate, plateau value, lo, hi, ramp): the cutoff in 1 to 3 dimensions, a
@@ -55,10 +53,10 @@ def test_cutoff_plateaus_exact_on_general_floats():
 
 def test_cutoff_2d_corner_value():
     net = cutoff_network(1.0, 2)
-    assert evaluate(net, [1.5, 0.0])[0] == 0.5
-    assert evaluate(net, [0.3, -0.8])[0] == 1.0
-    assert evaluate(net, [2.5, 0.0])[0] == 0.0
-    assert evaluate(net, [1.5, 1.5])[0] == 0.0  # two half-active coordinates
+    assert evaluate_batch(net, [1.5, 0.0])[0, 0] == 0.5
+    assert evaluate_batch(net, [0.3, -0.8])[0, 0] == 1.0
+    assert evaluate_batch(net, [2.5, 0.0])[0, 0] == 0.0
+    assert evaluate_batch(net, [1.5, 1.5])[0, 0] == 0.0  # two half-active coordinates
 
 
 def test_cutoff_range():
@@ -121,7 +119,7 @@ def test_modulation_dimension_check():
 def test_gaussian_peak():
     for eps in (1e-2, 1e-3):
         net = gaussian_network(1, eps)
-        assert abs(evaluate_scalar(net, 0.0) - 1.0) <= eps
+        assert abs(evaluate_batch(net, 0.0)[0, 0] - 1.0) <= eps
 
 
 def test_gaussian_1d_error_everywhere():
@@ -137,14 +135,14 @@ def test_gaussian_vanishes_outside_support():
     eps = 1e-2
     net = gaussian_network(1, eps)
     radius = math.ceil(math.log2(1.0 / eps))
-    assert evaluate_scalar(net, radius + 2.0) == 0.0
-    assert evaluate_scalar(net, -radius - 1.5) == 0.0
+    assert evaluate_batch(net, radius + 2.0)[0, 0] == 0.0
+    assert evaluate_batch(net, -radius - 1.5)[0, 0] == 0.0
 
 
 def test_gaussian_2d_value():
     eps = 1e-2
     net = gaussian_network(2, eps)
-    got = evaluate(net, [1.0, 1.0])[0]
+    got = evaluate_batch(net, [1.0, 1.0])[0, 0]
     assert abs(got - math.exp(-2.0)) <= eps
 
 

@@ -6,26 +6,34 @@ from relucalc import (
     AffineLayer,
     DimensionError,
     NetworkFormatError,
-    evaluate,
+    ReluNetwork,
     evaluate_batch,
-    evaluate_scalar,
+    extend_depth,
     metrics,
     network,
+    prune,
     read_network,
     write_network,
 )
 from relucalc import core
+from relucalc.constructors import cosine_network
+from relucalc.quantcode import (
+    decode,
+    encode,
+    minimal_quantization_k,
+    quantize_network,
+)
 from conftest import hat_reference, random_net
 
 
 def test_identity_via_relu_pair():
     # x = rho(x) - rho(-x), checked at a negative input
     net = network([([[1.0], [-1.0]], [0.0, 0.0]), ([[1.0, -1.0]], [0.0])])
-    assert evaluate_scalar(net, -3.0) == -3.0
+    assert evaluate_batch(net, -3.0)[0, 0] == -3.0
 
 
 def test_hat_value(hat_net):
-    assert evaluate_scalar(hat_net, 0.25) == 0.5
+    assert evaluate_batch(hat_net, 0.25)[0, 0] == 0.5
 
 
 def test_hat_matches_reference_on_grid(hat_net):
@@ -37,18 +45,18 @@ def test_hat_matches_reference_on_grid(hat_net):
 
 def test_double_hat_by_hand_iteration(hat_net):
     # g(g(0.125)): inner 0.25, outer 0.5
-    inner = evaluate_scalar(hat_net, 0.125)
-    assert evaluate_scalar(hat_net, inner) == 0.5
+    inner = evaluate_batch(hat_net, 0.125)[0, 0]
+    assert evaluate_batch(hat_net, inner)[0, 0] == 0.5
 
 
 def test_single_layer_is_plain_affine():
     net = network([([[2.0]], [1.0])])
-    assert evaluate_scalar(net, -5.0) == -9.0  # no ReLU after the only layer
+    assert evaluate_batch(net, -5.0)[0, 0] == -9.0  # no ReLU after the only layer
 
 
 def test_dimension_mismatch_raises(hat_net):
     with pytest.raises(DimensionError):
-        evaluate(hat_net, [1.0, 2.0])
+        evaluate_batch(hat_net, [1.0, 2.0])
 
 
 def test_bad_layer_chain_raises():
@@ -98,11 +106,34 @@ def test_serialization_round_trip(tmp_path):
         net = random_net(rng)
         path = tmp_path / f"net{i}.txt"
         write_network(net, path)
-        back = read_network(path)
-        assert back.dims == net.dims
-        for a, b in zip(net.layers, back.layers):
-            assert np.array_equal(a.matrix, b.matrix)
-            assert np.array_equal(a.bias, b.bias)
+        assert read_network(path) == net
+
+
+def test_equality_is_bitwise(tmp_path, hat_net):
+    cos30 = cosine_network(30, 1, 1e-2)
+    path = tmp_path / "cos30.relunet"
+    write_network(cos30, path)
+    pruned = prune(cos30)
+    quant, m = quantize_network(pruned, minimal_quantization_k(pruned, 0.25), 1, 0.25)
+    first = cos30.layers[0]
+    bumped = first.matrix.copy()
+    bumped[1, 0] = np.nextafter(bumped[1, 0], np.inf)
+    one_weight = ReluNetwork((AffineLayer(bumped, first.bias),) + cos30.layers[1:])
+    equal = [
+        (read_network(path), cos30),
+        (decode(encode(quant, m, 0.25), m, 0.25), quant),
+    ]
+    unequal = [
+        (network([([[1.0]], [-0.0])]), network([([[1.0]], [0.0])])),
+        (one_weight, cos30),
+        (extend_depth(hat_net, 3), hat_net),
+        (cos30, None),
+        (None, cos30),
+    ]
+    for a, b in equal:
+        assert a == b and not a != b
+    for a, b in unequal:
+        assert a != b and not a == b
 
 
 def test_serialization_rejects_bad_magic(tmp_path):

@@ -31,19 +31,8 @@ from relucalc.quantcode import (
     encode,
     minimal_quantization_k,
     quantize_network,
-    read_bitstring,
-    write_bitstring,
 )
 from conftest import random_net
-
-
-def nets_equal(a, b):
-    if a.dims != b.dims:
-        return False
-    return all(
-        np.array_equal(la.matrix, lb.matrix) and np.array_equal(la.bias, lb.bias)
-        for la, lb in zip(a.layers, b.layers)
-    )
 
 
 # --- grid -------------------------------------------------------------------------
@@ -51,8 +40,8 @@ def nets_equal(a, b):
 
 def test_grid_step_and_bound():
     grid = QuantGrid(2, 0.25)
-    assert grid.step == 1.0 / 16.0
-    assert grid.bound == 16.0
+    assert grid.value_of(1) == 1.0 / 16.0
+    assert grid.value_of(grid.max_index) == 16.0
 
 
 def test_grid_round_trip_of_lattice_values():
@@ -81,9 +70,9 @@ def test_grid_rejects_out_of_range():
 @settings(max_examples=80, deadline=None)
 def test_grid_rounding_is_nearest(scale, m):
     grid = QuantGrid(m, 0.25)
-    value = scale * grid.bound
+    value = scale * grid.value_of(grid.max_index)
     out = grid.round(value)
-    assert abs(out - value) <= grid.step / 2.0 + 0.0
+    assert abs(out - value) <= grid.value_of(1) / 2.0 + 0.0
     # nearest: no other lattice point is strictly closer
     for q in (grid.index_of(value) - 1, grid.index_of(value) + 1):
         assert abs(out - value) <= abs(grid.value_of(q) - value) + 1e-18
@@ -137,7 +126,7 @@ def test_quantize_depth_one_example():
 def test_quantize_leaves_lattice_weights_alone():
     net = network([([[0.5, -0.25]], [1.0])])
     quant, m = quantize_network(net, 1, 1.0, 0.25)
-    assert nets_equal(net, quant)
+    assert net == quant
 
 
 def test_quantize_reports_violations():
@@ -247,14 +236,6 @@ def test_bitstring_uint_round_trip():
     assert bits.uint(7, 20) == 12345
 
 
-def test_bitstring_file_round_trip(tmp_path):
-    bits = BitString([1, 0, 1, 1, 0, 0, 1, 0, 1])
-    path = tmp_path / "x.bits"
-    write_bitstring(bits, path)
-    again = read_bitstring(path)
-    assert again == bits
-
-
 @given(st.lists(st.integers(0, 1), max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_bitstring_bytes_round_trip(seq):
@@ -312,7 +293,7 @@ def test_round_trip_hat(hat_net):
     quant, m = quantize_network(hat_net, 2, 1.0, 0.25)
     bits = encode(quant, m, 0.25)
     back = decode(bits, m, 0.25)
-    assert nets_equal(quant, back)
+    assert quant == back
     assert len(bits) <= code_length_bound(metrics(quant).connectivity, m, 0.25)
 
 
@@ -323,7 +304,7 @@ def test_round_trip_square_network():
     quant, m = quantize_network(net, k, 1.0, eps)
     bits = encode(quant, m, eps)
     back = decode(bits, m, eps)
-    assert nets_equal(quant, back)
+    assert quant == back
 
 
 def test_round_trip_random_lattice_nets():
@@ -355,7 +336,7 @@ def test_round_trip_random_lattice_nets():
         count += 1
         bits = encode(snapped, m, eps)
         back = decode(bits, m, eps)
-        assert nets_equal(snapped, back)
+        assert snapped == back
         assert len(bits) <= code_length_bound(stats.connectivity, m, eps)
     assert count >= 20
 
@@ -434,7 +415,7 @@ def test_raw_bits_are_what_encode_emits():
     net = network([([[1.0], [-1.0]], [0.25, 0.0]), ([[1.0, 1.0]], [0.0])])
     bits = raw_bits(5, (1, 2, 1), FAN_121, WEIGHTS_121)
     assert encode(net, 2, 0.25) == bits
-    assert nets_equal(decode(bits, 2, 0.25), net)
+    assert decode(bits, 2, 0.25) == net
 
 
 @pytest.mark.parametrize(

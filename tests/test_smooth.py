@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relucalc import evaluate_batch, metrics, network
+from relucalc import metrics, network
 from relucalc.constructors import (
     SmoothDescriptor,
     chebyshev_expand,
@@ -16,9 +16,7 @@ from relucalc.constructors import (
     stitch_networks,
 )
 
-
-def grid_eval(net, xs):
-    return evaluate_batch(net, np.asarray(xs).reshape(-1, 1))[:, 0]
+from conftest import grid_eval
 
 
 def inv_two_minus_x(x):
@@ -84,6 +82,15 @@ def test_expand_rejects_other_intervals():
     f = SmoothDescriptor(lambda x: x, (0.0, 2.0))
     with pytest.raises(ValueError):
         chebyshev_expand(f, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "interval", [(0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0), (2.0, 1.0)]
+)
+def test_descriptor_rejects_empty_or_infinite_interval(interval):
+    with pytest.raises(ValueError, match="empty interval|infinite end"):
+        SmoothDescriptor(lambda x: 0.0, interval)
 
 
 # --- smooth networks --------------------------------------------------------------

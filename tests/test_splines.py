@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relucalc import evaluate_batch, evaluate_scalar, metrics
+from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
     bspline_network,
     cardinal_bspline,
@@ -20,9 +20,7 @@ from relucalc.constructors import (
 )
 from relucalc.constructors.splines import _truncated_power_sum
 
-
-def grid_eval(net, xs):
-    return evaluate_batch(net, np.asarray(xs).reshape(-1, 1))[:, 0]
+from conftest import grid_eval
 
 
 def bspline_by_convolution(m, xs):
@@ -118,7 +116,7 @@ def test_bspline_partition_of_unity():
 def test_bspline_network_hat_peak():
     eps = 1e-2
     net = bspline_network(2, eps)
-    assert abs(evaluate_scalar(net, 1.0) - 1.0) <= eps
+    assert abs(evaluate_batch(net, 1.0)[0, 0] - 1.0) <= eps
 
 
 def test_bspline_network_error_profile():
@@ -134,7 +132,7 @@ def test_bspline_network_error_profile():
 def test_bspline_network_vanishes_in_tails():
     net = bspline_network(2, 1e-2)
     for x in (-1.5, -10.0, 4.0, 10.0):
-        assert evaluate_scalar(net, x) == 0.0
+        assert evaluate_batch(net, x)[0, 0] == 0.0
 
 
 def test_bspline_network_order_one_away_from_jumps():
@@ -176,7 +174,7 @@ def test_wavelet_reference_orthogonal_to_constants():
 def test_wavelet_network_order_one_value():
     eps = 1e-2
     net = spline_wavelet_network(1, eps)
-    assert abs(evaluate_scalar(net, 0.25) - 1.0) <= eps
+    assert abs(evaluate_batch(net, 0.25)[0, 0] - 1.0) <= eps
 
 
 def test_wavelet_network_error():
@@ -231,8 +229,8 @@ def test_dilate_translate_rejects_singular():
 
 def test_haar_element_plateaus():
     net = haar_element_network(0, 0, 1e-2)
-    assert evaluate_scalar(net, 0.25) == 1.0
-    assert evaluate_scalar(net, 0.75) == -1.0
+    assert evaluate_batch(net, 0.25)[0, 0] == 1.0
+    assert evaluate_batch(net, 0.75)[0, 0] == -1.0
 
 
 def test_haar_element_connectivity():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relucalc import evaluate_batch, evaluate_scalar, metrics
+from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
     SmoothDescriptor,
     oscillatory_network,
@@ -10,9 +10,7 @@ from relucalc.constructors import (
     weierstrass_terms,
 )
 
-
-def grid_eval(net, xs):
-    return evaluate_batch(net, np.asarray(xs).reshape(-1, 1))[:, 0]
+from conftest import grid_eval
 
 
 def test_oscillatory_trivial_warp():
@@ -54,7 +52,7 @@ def test_weierstrass_geometric_value():
     p, a, eps = 0.4, 3.0, 1e-2
     net = weierstrass_network(p, a, 1.0, eps)
     # cos(0) = 1 in every term: geometric series 1/(1-p) = 5/3
-    assert abs(evaluate_scalar(net, 0.0) - 5.0 / 3.0) <= eps
+    assert abs(evaluate_batch(net, 0.0)[0, 0] - 5.0 / 3.0) <= eps
 
 
 def test_weierstrass_grid_error():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relucalc import evaluate_batch, evaluate_scalar, metrics
+from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
     cosine_network,
     cosine_shifted_network,
@@ -11,14 +11,12 @@ from relucalc.constructors import (
     sine_network,
 )
 
-
-def grid_eval(net, xs):
-    return evaluate_batch(net, np.asarray(xs).reshape(-1, 1))[:, 0]
+from conftest import grid_eval
 
 
 def test_cosine_at_zero():
     net = cosine_network(1.0, 1.0, 1e-3)
-    assert abs(evaluate_scalar(net, 0.0) - 1.0) <= 1e-3
+    assert abs(evaluate_batch(net, 0.0)[0, 0] - 1.0) <= 1e-3
 
 
 def test_cosine_low_frequency_error():
@@ -74,7 +72,7 @@ def test_cosine_rejects_bad_args():
 
 def test_shifted_sine_at_zero():
     net = cosine_shifted_network(1.0, math.pi / 2.0, 1.0, 1e-3)
-    assert abs(evaluate_scalar(net, 0.0)) <= 1e-3
+    assert abs(evaluate_batch(net, 0.0)[0, 0]) <= 1e-3
 
 
 def test_shifted_error():
