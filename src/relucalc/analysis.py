@@ -48,16 +48,14 @@ class PwlFunction:
     def __call__(self, x):
         return np.interp(x, self.breakpoints, self.values)
 
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.breakpoints)
+    def piece_count(self) -> int:
+        """Number of maximal linearity intervals between the end breakpoints.
 
-    def piece_count(self, tol: float = 1e-9) -> int:
-        """Number of maximal linearity intervals between the end breakpoints."""
-        s = self.slopes()
-        if s.size == 0:
-            return 1
+        Neighbouring slopes count as one piece unless they differ by more
+        than 1e-9 times the larger of 1 and their magnitudes."""
+        s = np.diff(self.values) / np.diff(self.breakpoints)
         scale = np.maximum(1.0, np.maximum(np.abs(s[1:]), np.abs(s[:-1])))
-        return 1 + int(np.sum(np.abs(np.diff(s)) > tol * scale))
+        return 1 + int(np.sum(np.abs(np.diff(s)) > 1e-9 * scale))
 
 
 def _relu_pass(grid: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +198,7 @@ def _mesh_points(axes) -> np.ndarray:
 
 def _eval_grid(net: ReluNetwork, domain, grid_n: int):
     boxes, axes = _uniform_axes(net, domain, grid_n)
-    if len(boxes) == 1 and net.out_dim == 1:
+    if len(boxes) == 1:
         bp = exact_pwl(net, boxes[0]).breakpoints
         axes[0] = np.union1d(axes[0], bp)
     return boxes, axes, _mesh_points(axes)
@@ -221,8 +219,13 @@ def _quad_weights(axes) -> np.ndarray:
 def error_report(
     net: ReluNetwork, reference: Callable, domain, grid_n: int
 ) -> ErrorReport:
-    """Sup and trapezoid-L2 error against a reference callable on a uniform
-    grid (1-D grids also include all network breakpoints)."""
+    """Sup and trapezoid-L2 error of a one-output network against a
+    reference callable on a uniform grid (1-D grids also include all network
+    breakpoints)."""
+    if net.out_dim != 1:
+        raise DimensionError(
+            f"error_report needs a one-output network, got {net.out_dim} outputs"
+        )
     boxes, axes, pts = _eval_grid(net, domain, grid_n)
     got = evaluate_batch(net, pts)[:, 0]
     want = np.asarray([reference(*p) for p in pts.tolist()])

@@ -152,7 +152,6 @@ def linear_combination(
         raise DimensionError("linear combination needs equal output dims")
     nets = _pad_all(list(nets))
     par = parallelize(nets)
-    last = par.layers[-1]
     mats = [a * n.layers[-1].matrix for a, n in zip(coeffs, nets)]
     bias = sum(
         (a * n.layers[-1].bias for a, n in zip(coeffs, nets)),

@@ -161,6 +161,8 @@ def cmd_build(args) -> int:
 
 def _axis_points(dim: int, points: int) -> int:
     """Points per axis of a dim-D tensor grid of about `points` points."""
+    if points < 2:
+        raise ValueError("need at least two grid points per axis")
     if dim == 1:
         return points
     return max(2, round(points ** (1.0 / dim)))

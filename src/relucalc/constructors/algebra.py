@@ -210,10 +210,8 @@ def polynomial_network(coeffs, half_width: float, eps: float) -> ReluNetwork:
         raise ValueError("need at least one coefficient")
     _check_eps(eps)
     degree = len(coeffs) - 1
-    if degree == 0:
-        return affine_network([[0.0]], [coeffs[0]])
-    if degree == 1:
-        return affine_network([[coeffs[1]]], [coeffs[0]])
+    if degree <= 1:
+        return affine_network([[coeffs[1] if degree else 0.0]], [coeffs[0]])
     d = max(1.0, float(half_width))
     d_ceil = math.ceil(d)
     a_max = max(abs(c) for c in coeffs)

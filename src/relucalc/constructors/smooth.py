@@ -22,7 +22,7 @@ from ..calculus import (
     reduce_weights,
     sum_finite_width,
 )
-from ..core import AffineLayer, ReluNetwork, _interval
+from ..core import ReluNetwork, _interval, network
 from .algebra import _check_eps, _product, polynomial_network
 
 MAX_DEGREE = 40
@@ -53,10 +53,6 @@ class ChebyshevExpansion:
 
     coeffs: tuple[float, ...]
     monomial_coeffs: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -154,35 +150,20 @@ def hat_partition_networks(knots) -> list[ReluNetwork]:
         raise ValueError("knots must be strictly increasing")
     hats = []
     for i in range(1, n):
-        if i == 1:
-            s = 1.0 / (knots[2] - knots[1])
-            raw = ReluNetwork(
-                (
-                    AffineLayer([[1.0], [1.0]], [-knots[1], -knots[2]]),
-                    AffineLayer([[-s, s]], [1.0]),
-                )
-            )
-        elif i == n - 1:
-            s = 1.0 / (knots[n - 1] - knots[n - 2])
-            raw = ReluNetwork(
-                (
-                    AffineLayer([[1.0], [1.0]], [-knots[n - 2], -knots[n - 1]]),
-                    AffineLayer([[s, -s]], [0.0]),
-                )
-            )
-        else:
-            left = 1.0 / (knots[i] - knots[i - 1])
-            right = 1.0 / (knots[i + 1] - knots[i])
-            raw = ReluNetwork(
-                (
-                    AffineLayer(
-                        [[1.0], [1.0], [1.0]],
-                        [-knots[i - 1], -knots[i], -knots[i + 1]],
-                    ),
-                    AffineLayer([[left, -(left + right), right]], [0.0]),
-                )
-            )
-        hats.append(reduce_weights(raw))
+        # hat i is 1 at knot i and 0 at its neighbours; it bends only at the
+        # interior knots among them, so the end hats stay 1 towards the ends.
+        # Row j is rho(x - bend_j); the output weights are the slope changes
+        # at the bends, and the bias is the value left of the first bend.
+        js = range(max(i - 1, 1), min(i + 1, n - 1) + 1)
+        bends = [knots[j] for j in js]
+        values = [float(j == i) for j in js]
+        slopes = [0.0]
+        for b0, b1, v0, v1 in zip(bends, bends[1:], values, values[1:]):
+            slopes.append((v1 - v0) / (b1 - b0))
+        slopes.append(0.0)
+        weights = [s1 - s0 for s0, s1 in zip(slopes, slopes[1:])]
+        hidden = ([[1.0]] * len(bends), [-b for b in bends])
+        hats.append(reduce_weights(network([hidden, ([weights], [values[0]])])))
     return hats
 
 

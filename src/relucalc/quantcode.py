@@ -150,16 +150,13 @@ def quantize_network(
         raise ValueError(
             f"k = {k} is too large: eps**-k exceeds the float range"
         ) from None
-    stats = metrics(net)
-    problems = []
-    if stats.connectivity > cap:
-        problems.append(f"connectivity {stats.connectivity} > {cap:g}")
-    if stats.weight_magnitude > cap:
-        problems.append(f"magnitude {stats.weight_magnitude:g} > {cap:g}")
-    if problems:
-        k_min = minimal_quantization_k(net, eps)
+    k_min = minimal_quantization_k(net, eps)
+    if k < k_min:
+        stats = metrics(net)
         raise QuantizationError(
-            "; ".join(problems) + f"; smallest admissible k is {k_min}"
+            f"connectivity {stats.connectivity} or magnitude "
+            f"{stats.weight_magnitude:g} exceeds eps**-k = {cap:g}; "
+            f"smallest admissible k is {k_min}"
         )
     layers = []
     for layer in net.layers:

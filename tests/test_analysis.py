@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucalc import analysis, evaluate_batch, network
+from relucalc import (
+    DimensionError,
+    analysis,
+    evaluate_batch,
+    network,
+    parallelize_shared,
+    scale_output,
+)
 from relucalc.analysis import (
     ResolutionError,
     asymptotic_piece_constant,
@@ -23,6 +30,7 @@ from relucalc.constructors import (
     gaussian_network,
     sawtooth_network,
     square_interpolant_network,
+    square_network,
     weierstrass_reference,
 )
 from conftest import random_net
@@ -224,6 +232,15 @@ def test_l2_error_2d():
     report = error_report(net, lambda x, y: 0.0, [(0.0, 1.0), (0.0, 1.0)], 41)
     # integral of (x+y)^2 over the unit square is 7/6
     assert abs(report.l2_error - math.sqrt(7.0 / 6.0)) <= 2e-3
+
+
+def test_error_report_rejects_several_outputs():
+    # output 1 is 5x^2 and misses x^2 by 4 at x = 1; reading output 0 alone
+    # would report the squaring error only
+    sq = square_network(1e-2)
+    net = parallelize_shared([sq, scale_output(sq, 5.0)])
+    with pytest.raises(DimensionError, match="one-output"):
+        error_report(net, lambda x: x * x, (0.0, 1.0), 1001)
 
 
 # --- minimax line fitting ----------------------------------------------------------------

@@ -290,6 +290,8 @@ def test_sweep_postcondition_violation_exit_code(capsys):
         ["build", "weierstrass", "--a", "inf"],
         ["build", "haar", "--s", "100000"],
         ["codec", "NET", "--k", "1000"],
+        ["sweep", "multiply", "--grid", "1"],
+        ["codec", "NET2D", "--grid", "1"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, tmp_path, argv):

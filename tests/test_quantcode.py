@@ -139,6 +139,32 @@ def test_quantize_reports_violations():
     quantize_network(net, k, 1.0, 0.25)  # succeeds
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: square_network(1e-2),
+        lambda: multiply_network(2.0, 1e-2),
+        lambda: network([([[100.0]], [0.0])]),
+        lambda: prune(cosine_network(30, 1, 1e-2)),
+    ],
+    ids=["square", "multiply", "magnitude100", "cos30_pruned"],
+)
+def test_quantize_raises_exactly_when_a_size_exceeds_eps_to_minus_k(build):
+    net = build()
+    stats = metrics(net)
+    for eps in (0.1, 0.25, 0.3, 0.49):
+        k_min = minimal_quantization_k(net, eps)
+        for k in range(1, k_min + 2):
+            cap = eps ** -k
+            too_big = stats.connectivity > cap or stats.weight_magnitude > cap
+            if too_big:
+                with pytest.raises(QuantizationError):
+                    quantize_network(net, k, 1.0, eps)
+            else:
+                quantize_network(net, k, 1.0, eps)
+            assert too_big == (k < k_min)
+
+
 def test_quantize_rejects_k_past_float_range():
     # a usage error, not a failed precondition: eps**-k is not a float
     with pytest.raises(ValueError, match="k = 1000") as err:

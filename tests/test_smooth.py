@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relucalc import metrics, network
+from relucalc import AffineLayer, ReluNetwork, metrics, network, reduce_weights
 from relucalc.constructors import (
     SmoothDescriptor,
     chebyshev_expand,
@@ -149,6 +149,64 @@ def test_at_most_two_hats_active():
         (np.abs(grid_eval(h, xs)) > 1e-12).astype(int) for h in hats
     )
     assert active.max() <= 2
+
+
+def _three_case_hats(knots):
+    """Reference: the first, interior and last hats written out one by one."""
+    knots = [float(a) for a in knots]
+    n = len(knots) - 1
+    hats = []
+    for i in range(1, n):
+        if i == 1:
+            s = 1.0 / (knots[2] - knots[1])
+            raw = ReluNetwork(
+                (
+                    AffineLayer([[1.0], [1.0]], [-knots[1], -knots[2]]),
+                    AffineLayer([[-s, s]], [1.0]),
+                )
+            )
+        elif i == n - 1:
+            s = 1.0 / (knots[n - 1] - knots[n - 2])
+            raw = ReluNetwork(
+                (
+                    AffineLayer([[1.0], [1.0]], [-knots[n - 2], -knots[n - 1]]),
+                    AffineLayer([[s, -s]], [0.0]),
+                )
+            )
+        else:
+            left = 1.0 / (knots[i] - knots[i - 1])
+            right = 1.0 / (knots[i + 1] - knots[i])
+            raw = ReluNetwork(
+                (
+                    AffineLayer(
+                        [[1.0], [1.0], [1.0]],
+                        [-knots[i - 1], -knots[i], -knots[i + 1]],
+                    ),
+                    AffineLayer([[left, -(left + right), right]], [0.0]),
+                )
+            )
+        hats.append(reduce_weights(raw))
+    return hats
+
+
+def _uneven_knot_sets():
+    rng = np.random.default_rng(12)
+    sets = [[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.7, 1.9, 2.2, 5.0, 6.5]]
+    for n in range(3, 9):
+        gaps = rng.uniform(0.05, 3.0, size=n)
+        start = float(rng.uniform(-10.0, 0.0))
+        knots = start + np.concatenate([[0.0], np.cumsum(gaps)])
+        sets.append(list(knots))
+        # the same gaps with one knot moved to 0.0, whose bias is -0.0
+        j = int(rng.integers(0, n + 1))
+        sets.append(list(knots - knots[j]))
+    return sets
+
+
+@pytest.mark.parametrize("knots", _uneven_knot_sets())
+def test_hats_match_the_three_case_construction(knots):
+    hats = hat_partition_networks(knots)
+    assert hats == _three_case_hats(knots)
 
 
 def test_stitch_constant_pieces():
