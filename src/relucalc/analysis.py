@@ -24,7 +24,7 @@ BREAK_MERGE_TOL = 1e-12
 
 
 class ResolutionError(ValueError):
-    """Grid too coarse for the requested computation."""
+    """Grid or quadrature too coarse for the requested computation."""
 
 
 @dataclass(frozen=True)
@@ -366,7 +366,7 @@ def asymptotic_piece_constant(
         full_output=1,
     )[:2]
     if abserr > 1e-6 * max(1.0, abs(value)):
-        raise ArithmeticError(
+        raise ResolutionError(
             f"quadrature failed to converge: estimate {value} +- {abserr}"
         )
     return value / 4.0

@@ -1,8 +1,9 @@
 """Batch command-line driver: build networks, sweep tolerances, run the
 quantization codec, and count linear regions or free-knot pieces.
 
-Exit codes: 0 success, 2 usage error, 3 data or codec error, 4 postcondition
-violation (a stated bound failed on computed output).
+Exit codes: 0 success, 2 usage error, 3 I/O, data or codec error, 4
+postcondition violation (a stated bound failed on computed output).  The
+commands raise; `main` alone maps an exception's type to its exit code.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import sys
 
 import numpy as np
 
-from . import analysis, quantcode
+from . import analysis, calculus, quantcode
 from .core import (
     NetworkFormatError,
-    ReluNetwork,
     evaluate_batch,
     metrics,
     read_network,
@@ -42,19 +42,28 @@ from .constructors import (
 )
 from .constructors.gabor import _gaussian_radius
 
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_POSTCONDITION = 4
-
 DEFAULT_GRID = 100_001
 
-
-class _Exit(Exception):
-    """A failure reported as one line on stderr; main returns its code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+# exception types -> (exit code, stderr prefix); the first matching row wins,
+# so the data errors of the first row, all but OSError subclasses of
+# ValueError, stay apart from the ValueError the library raises for a bad
+# argument (an empty interval, a tolerance, a grid size, a network's input
+# dimension); too large an argument overflows
+_FAILURES = (
+    (
+        (
+            OSError,
+            NetworkFormatError,
+            quantcode.QuantizationError,
+            quantcode.CodecError,
+            analysis.ResolutionError,
+        ),
+        3,
+        "data error",
+    ),
+    ((ValueError, OverflowError), 2, "invalid parameters"),
+    (AssertionError, 4, "postcondition violation"),
+)
 
 
 def _fmt(x: float) -> str:
@@ -123,26 +132,20 @@ _CONSTRUCTORS = {
 
 def _constructor(name: str):
     if name not in _CONSTRUCTORS:
-        raise _Exit(EXIT_USAGE, f"unknown constructor '{name}'")
+        raise ValueError(f"unknown constructor '{name}'")
     return _CONSTRUCTORS[name]
 
 
-def _read(path) -> ReluNetwork:
-    try:
-        return read_network(path)
-    except (OSError, NetworkFormatError) as exc:
-        raise _Exit(EXIT_DATA, f"cannot read network: {exc}") from exc
-
-
 def _emit(lines, out_path) -> None:
+    """Write the CSV to out_path, then to stdout, so a failed write prints none."""
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> None:
     """build a network and print metrics"""
     net = _constructor(args.constructor)[0](args, args.eps)
     if args.out:
@@ -156,7 +159,6 @@ def cmd_build(args) -> int:
         ],
         None,
     )
-    return 0
 
 
 def _axis_points(dim: int, points: int) -> int:
@@ -168,18 +170,16 @@ def _axis_points(dim: int, points: int) -> int:
     return max(2, round(points ** (1.0 / dim)))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     """tolerance sweep with measured errors"""
     build, reference, domain = _constructor(args.constructor)
     if not args.eps_list:
-        raise _Exit(EXIT_USAGE, "empty tolerance list")
+        raise ValueError("empty tolerance list")
     if reference is None:
-        raise _Exit(
-            EXIT_USAGE, f"constructor '{args.constructor}' has no sweep reference"
-        )
+        raise ValueError(f"constructor '{args.constructor}' has no sweep reference")
     reference = functools.partial(reference, args)
     lines = ["eps,sup_error,connectivity,depth,width,magnitude"]
-    status = 0
+    breached = False
     for eps in args.eps_list:
         net = build(args, eps)
         report = analysis.error_report(
@@ -190,27 +190,23 @@ def cmd_sweep(args) -> int:
             f"{_fmt(eps)},{_fmt(report.sup_error)},{m.connectivity},"
             f"{m.depth},{m.width},{_fmt(m.weight_magnitude)}"
         )
-        if report.sup_error > eps + 1e-12:
-            status = EXIT_POSTCONDITION
+        breached |= report.sup_error > eps + 1e-12
     _emit(lines, args.out)
-    if status:
-        print("postcondition violation: measured error above eps", file=sys.stderr)
-    return status
+    if breached:
+        raise AssertionError("measured error above eps")
 
 
-def cmd_codec(args) -> int:
-    """quantize, encode, decode, verify"""
-    net = _read(args.netfile)
+def cmd_codec(args) -> None:
+    """prune, quantize, encode, decode, verify"""
+    net = read_network(args.netfile)
     grid_n = _axis_points(net.in_dim, min(args.grid, 20_001))
     _, axes = analysis._uniform_axes(net, [(-args.D, args.D)] * net.in_dim, grid_n)
-    try:
-        quant, m = quantcode.quantize_network(net, args.k, args.D, args.eps)
-        bits = quantcode.encode(quant, m, args.eps)
-        back = quantcode.decode(bits, m, args.eps)
-    except quantcode.QuantizationError as exc:
-        raise _Exit(EXIT_DATA, f"quantization precondition failed: {exc}") from exc
-    except quantcode.CodecError as exc:
-        raise _Exit(EXIT_DATA, f"codec error: {exc}") from exc
+    # encode takes only nondegenerate networks; prune keeps the function
+    quant, m = quantcode.quantize_network(
+        calculus.prune(net), args.k, args.D, args.eps
+    )
+    bits = quantcode.encode(quant, m, args.eps)
+    back = quantcode.decode(bits, m, args.eps)
     ok = back == quant
     pts = analysis._mesh_points(axes)
     deviation = float(
@@ -227,20 +223,14 @@ def cmd_codec(args) -> int:
     ]
     _emit(lines, args.out)
     if not ok or len(bits) > bound or deviation > args.eps + 1e-12:
-        print("postcondition violation in codec run", file=sys.stderr)
-        return EXIT_POSTCONDITION
-    return 0
+        raise AssertionError("codec run broke its round trip, bit or deviation bound")
 
 
-def cmd_regions(args) -> int:
+def cmd_regions(args) -> None:
     """count linear regions"""
-    net = _read(args.netfile)
-    try:
-        count, bound = analysis.count_linear_regions(net, (args.lo, args.hi))
-    except AssertionError as exc:
-        raise _Exit(EXIT_POSTCONDITION, f"postcondition violation: {exc}") from exc
+    net = read_network(args.netfile)
+    count, bound = analysis.count_linear_regions(net, (args.lo, args.hi))
     _emit(["regions,bound", f"{count},{bound}"], args.out)
-    return 0
 
 
 # name -> (f(args, x), f''(args, x))
@@ -261,29 +251,22 @@ _MINPIECE_FUNCTIONS = {
 }
 
 
-def cmd_minpieces(args) -> int:
+def cmd_minpieces(args) -> None:
     """greedy free-knot piece counts"""
     if args.fname not in _MINPIECE_FUNCTIONS:
-        raise _Exit(EXIT_USAGE, f"unknown function '{args.fname}'")
+        raise ValueError(f"unknown function '{args.fname}'")
     if not args.eps_list:
-        raise _Exit(EXIT_USAGE, "empty tolerance list")
+        raise ValueError("empty tolerance list")
     f, f2 = (functools.partial(g, args) for g in _MINPIECE_FUNCTIONS[args.fname])
     interval = (args.lo, args.hi)
-    try:
-        constant = analysis.asymptotic_piece_constant(f2, interval)
-    except ArithmeticError as exc:
-        raise _Exit(EXIT_DATA, f"piece constant unavailable: {exc}") from exc
+    constant = analysis.asymptotic_piece_constant(f2, interval)
     lines = ["eps,pieces,pieces_sqrt_eps,constant"]
     for eps in args.eps_list:
-        try:
-            count = analysis.min_pieces(f, interval, eps, args.grid)
-        except analysis.ResolutionError as exc:
-            raise _Exit(EXIT_DATA, f"grid too coarse: {exc}") from exc
+        count = analysis.min_pieces(f, interval, eps, args.grid)
         lines.append(
             f"{_fmt(eps)},{count},{_fmt(count * math.sqrt(eps))},{_fmt(constant)}"
         )
     _emit(lines, args.out)
-    return 0
 
 
 def _eps_list(text: str) -> list[float]:
@@ -344,16 +327,14 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _Exit as exc:
-        print(exc, file=sys.stderr)
-        return exc.code
-    except (ValueError, OverflowError) as exc:
-        # the commands catch data errors themselves; the library rejects bad
-        # arguments (an empty interval, a tolerance, a grid size, a network's
-        # input dimension) with ValueError, and too large ones overflow
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args.func(args)
+    except Exception as exc:
+        for types, code, prefix in _FAILURES:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
+    return 0
 
 
 if __name__ == "__main__":

@@ -24,12 +24,7 @@ from ..calculus import (
     parallelize_shared,
     scalar_mult_network,
 )
-from ..core import AffineLayer, ReluNetwork
-
-
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps < 0.5):
-        raise ValueError(f"tolerance must lie in (0, 1/2), got {eps}")
+from ..core import AffineLayer, ReluNetwork, _check_eps
 
 
 def sawtooth_network(s: int) -> ReluNetwork:

@@ -22,8 +22,8 @@ from ..calculus import (
     linear_combination,
     scalar_mult_network,
 )
-from ..core import AffineLayer, ReluNetwork
-from .algebra import _check_eps, _pow2_ceil, _product
+from ..core import AffineLayer, ReluNetwork, _check_eps
+from .algebra import _pow2_ceil, _product
 from .smooth import SmoothDescriptor, smooth_network_general
 from .splines import _plateau_gate
 from .trig import cosine_network, cosine_shifted_network

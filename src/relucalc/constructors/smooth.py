@@ -22,8 +22,8 @@ from ..calculus import (
     reduce_weights,
     sum_finite_width,
 )
-from ..core import ReluNetwork, _interval, network
-from .algebra import _check_eps, _product, polynomial_network
+from ..core import ReluNetwork, _check_eps, _interval, network
+from .algebra import _product, polynomial_network
 
 MAX_DEGREE = 40
 WARN_DEGREE = 25

@@ -22,8 +22,8 @@ from ..calculus import (
     scalar_mult_network,
     sum_finite_width,
 )
-from ..core import AffineLayer, ReluNetwork
-from .algebra import _check_eps, _pow2_ceil, _product, polynomial_network
+from ..core import AffineLayer, ReluNetwork, _check_eps
+from .algebra import _pow2_ceil, _product, polynomial_network
 
 
 def _truncated_power_sum(m: int, p: int, q: int) -> int:

@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 
 from ..calculus import compose, scale_output, sum_finite_width
-from ..core import ReluNetwork
-from .algebra import _check_eps, _product
+from ..core import ReluNetwork, _check_eps
+from .algebra import _product
 from .smooth import SmoothDescriptor, smooth_network_general
 from .trig import cosine_network
 

@@ -16,8 +16,8 @@ from ..calculus import (
     reduce_weights,
     scalar_mult_network,
 )
-from ..core import AffineLayer, ReluNetwork
-from .algebra import sawtooth_network, _check_eps
+from ..core import AffineLayer, ReluNetwork, _check_eps
+from .algebra import sawtooth_network
 from .smooth import SmoothDescriptor, smooth_network
 
 # 6/pi^3 scales the cosine into the trusted smoothness class: the n-th

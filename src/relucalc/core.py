@@ -54,6 +54,11 @@ def _interval(bounds, what: str = "interval") -> tuple[float, float]:
     return a, b
 
 
+def _check_eps(eps: float) -> None:
+    if not (0.0 < eps < 0.5):
+        raise ValueError(f"tolerance must lie in (0, 1/2), got {eps}")
+
+
 def _frozen_array(data, shape_kind: str) -> np.ndarray:
     arr = np.array(data, dtype=np.float64)
     if shape_kind == "matrix" and arr.ndim != 2:

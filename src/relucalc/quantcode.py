@@ -17,12 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import AffineLayer, ReluNetwork, metrics
+from .core import AffineLayer, ReluNetwork, _check_eps, metrics
 from .calculus import is_nondegenerate
 
 
 class QuantizationError(ValueError):
-    """Violated quantization precondition."""
+    """A network that does not fit under eps**-k or on the lattice."""
 
 
 class CodecError(ValueError):
@@ -42,11 +42,6 @@ def _ceil_log2_inv(eps: float) -> int:
     return t + 1 if num << t < den else t
 
 
-def _check_tolerance(eps: float) -> None:
-    if not (0.0 < eps < 0.5):
-        raise QuantizationError(f"tolerance must lie in (0, 1/2), got {eps}")
-
-
 @dataclass(frozen=True)
 class QuantGrid:
     """Dyadic weight lattice with resolution m at tolerance eps."""
@@ -56,8 +51,8 @@ class QuantGrid:
 
     def __post_init__(self):
         if self.m < 1:
-            raise QuantizationError("resolution parameter must be positive")
-        _check_tolerance(self.eps)
+            raise ValueError("resolution parameter must be positive")
+        _check_eps(self.eps)
 
     @cached_property
     def step_exponent(self) -> int:
@@ -115,12 +110,15 @@ class QuantGrid:
 
 def minimal_quantization_k(net: ReluNetwork, eps: float) -> int:
     """Smallest k with connectivity and magnitude both at most eps**-k."""
-    _check_tolerance(eps)
+    _check_eps(eps)
     m = metrics(net)
     need = max(float(m.connectivity), m.weight_magnitude)
     k = 1
-    while float(eps) ** -k < need:
-        k += 1
+    try:
+        while float(eps) ** -k < need:
+            k += 1
+    except OverflowError:
+        pass  # past the float range eps**-k exceeds every finite need
     return k
 
 
@@ -141,7 +139,7 @@ def quantize_network(
     returned resolution m, outputs on [-D, D]^d deviate by at most eps.
     """
     if k < 1:
-        raise QuantizationError("k must be a positive integer")
+        raise ValueError(f"k = {k} is not a positive integer")
     m = quantization_resolution(net, k, domain_half_width)
     grid = QuantGrid(m, eps)  # validates eps before it is raised to -k
     try:

@@ -4,6 +4,7 @@ import pytest
 
 from relucalc import analysis
 from relucalc.cli import main
+from relucalc.core import network, write_network
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +179,56 @@ def test_codec_single_grid_point_is_usage_error(capsys, tmp_path):
     assert "two grid points" in stderr
 
 
+def test_codec_prunes_a_degenerate_build(capsys, tmp_path):
+    # bspline_network(2, 0.1) has 383 weights, 349 of them on live rows;
+    # encode takes only the pruned network
+    net_path = tmp_path / "b2.relunet"
+    run_cli(capsys, "build", "bspline", "--m", "2", "--eps", "0.1",
+            "--out", str(net_path))
+    code, stdout, stderr = run_cli(
+        capsys, "codec", str(net_path), "--k", "5", "--eps", "0.25", "--grid", "2001"
+    )
+    assert (code, stderr) == (0, "")
+    header, row = stdout.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["round_trip_ok"] == "1"
+    assert int(fields["bits"]) <= int(fields["bound"])
+    assert float(fields["deviation"]) <= 0.25
+
+
+def test_codec_weight_near_the_float_maximum_is_data_error(capsys, tmp_path):
+    # 0.49**-k overflows on its way to 1.7e308: the smallest k is still named
+    net_path = tmp_path / "huge.relunet"
+    write_network(network([([[1.7e308]], [0.0]), ([[1.0]], [0.0])]), net_path)
+    code, stdout, stderr = run_cli(
+        capsys, "codec", str(net_path), "--k", "1", "--eps", "0.49"
+    )
+    assert code == 3
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "smallest admissible k is 995" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "square"],
+        ["sweep", "square", "--grid", "101"],
+        ["regions", "NET", "0", "1"],
+    ],
+)
+def test_unwritable_out_is_data_error_with_no_output(capsys, tmp_path, argv):
+    net_path = tmp_path / "sq.relunet"
+    run_cli(capsys, "build", "square", "--out", str(net_path))
+    argv = [str(net_path) if arg == "NET" else arg for arg in argv]
+    code, stdout, stderr = run_cli(
+        capsys, *argv, "--out", str(tmp_path / "missing" / "x")
+    )
+    assert code == 3
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+
+
 def test_regions_sawtooth(capsys, tmp_path):
     net_path = tmp_path / "saw.relunet"
     run_cli(capsys, "build", "sawtooth", "--s", "5", "--out", str(net_path))
@@ -292,6 +343,9 @@ def test_sweep_postcondition_violation_exit_code(capsys):
         ["codec", "NET", "--k", "1000"],
         ["sweep", "multiply", "--grid", "1"],
         ["codec", "NET2D", "--grid", "1"],
+        ["codec", "NET", "--eps", "0.6"],
+        ["codec", "NET", "--eps", "0"],
+        ["codec", "NET", "--k", "0"],
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, tmp_path, argv):

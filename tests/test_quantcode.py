@@ -175,14 +175,24 @@ def test_quantize_rejects_k_past_float_range():
 @pytest.mark.parametrize("eps", [0.0, 0.5, 0.7])
 def test_quantize_rejects_bad_tolerance(eps):
     net = network([([[0.3]], [0.0])])
-    with pytest.raises(QuantizationError):
+    with pytest.raises(ValueError, match="tolerance") as err:
         quantize_network(net, 1, 1.0, eps)
+    assert not isinstance(err.value, QuantizationError)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, float("nan")])
 def test_minimal_k_rejects_bad_tolerance(eps):
-    with pytest.raises(QuantizationError, match="tolerance"):
+    with pytest.raises(ValueError, match="tolerance") as err:
         minimal_quantization_k(square_network(1e-2), eps)
+    assert not isinstance(err.value, QuantizationError)
+
+
+def test_minimal_k_past_the_float_range_of_eps_to_minus_k():
+    # 0.49**-k overflows before it reaches 1.7e308; every larger k is admissible
+    net = network([([[1.7e308]], [0.0]), ([[1.0]], [0.0])])
+    k = minimal_quantization_k(net, 0.49)
+    assert k == 995
+    assert 0.49 ** -(k - 1) < 1.7e308
 
 
 def test_quantize_error_law_on_constructors():
