@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     DimensionError,
@@ -21,6 +20,10 @@ from .core import (
 )
 
 BREAK_MERGE_TOL = 1e-12
+
+# exact_pwl holds each layer's values at all breakpoints at once: 2**24
+# float64 values (neuron rows x breakpoints) take 134 MB
+MAX_PWL_VALUES = 2 ** 24
 
 
 class ResolutionError(ValueError):
@@ -87,6 +90,12 @@ def _relu_pass(grid: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
         at = np.searchsorted(grid, cross)
         fresh = grid[at] != cross
         cross, at = cross[fresh], at[fresh]
+        size = grid.size + cross.size
+        if vals.shape[0] * size > MAX_PWL_VALUES:
+            raise ResolutionError(
+                f"{vals.shape[0]} neurons at {size} breakpoints "
+                f"exceed MAX_PWL_VALUES = {MAX_PWL_VALUES} values"
+            )
         merged = np.insert(grid, at, cross)
         keep = np.empty(merged.size, dtype=bool)
         keep[1:] = np.diff(merged) > BREAK_MERGE_TOL
@@ -121,6 +130,8 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     predecessor is dropped, and a crossing that close to b is dropped
     instead of b, so a and b are always kept.  Values at breakpoints that
     stay are copied; inserted ones get np.interp's formula (see _relu_pass).
+    Raises ResolutionError when a layer would hold more than MAX_PWL_VALUES
+    values, neuron rows times breakpoints.
     """
     if net.in_dim != 1 or net.out_dim != 1:
         raise DimensionError("exact piecewise form needs a 1-D network")
@@ -130,7 +141,9 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     vals = grid.reshape(1, -1)
     for i, step in enumerate(plan.steps):
         pre = np.empty((step.rows, grid.size))
-        _affine_step(step, vals, pre, np.empty((plan.width, grid.size)))
+        # _affine_step reads tmp only for the terms after the first
+        tmp_rows = max((len(src) for src, _ in step.terms[1:]), default=0)
+        _affine_step(step, vals, pre, np.empty((tmp_rows, grid.size)))
         vals = pre
         if i < net.depth - 1:
             grid, vals = _relu_pass(grid, vals)
@@ -228,7 +241,7 @@ def error_report(
         )
     boxes, axes, pts = _eval_grid(net, domain, grid_n)
     got = evaluate_batch(net, pts)[:, 0]
-    want = np.asarray([reference(*p) for p in pts.tolist()])
+    want = np.fromiter(map(reference, *pts.T.tolist()), np.float64, len(pts))
     err = got - want
     sup_idx = int(np.argmax(np.abs(err)))
     weights = _quad_weights(axes)
@@ -354,6 +367,9 @@ def asymptotic_piece_constant(
 ) -> float:
     """The constant c = (1/4) * integral of sqrt|f''| governing the free-knot
     piece count s(eps) ~ c / sqrt(eps)."""
+    # imported here, its only use: loading scipy costs a process about 50 MB
+    from scipy.integrate import quad
+
     a, b = _interval(interval)
     # full_output keeps quad's multi-line warning off stderr; failure is
     # judged by the error estimate below
@@ -434,10 +450,19 @@ def pack_exp_family(eps: float) -> np.ndarray:
 
 def cover_exp_family(eps: float) -> np.ndarray:
     """Covering of the same class: theta_i = 2*eps*i up to floor(1/(2 eps)),
-    plus the endpoint theta = 1."""
+    plus the endpoint theta = 1 when the last of them lies below it."""
     if not 0.0 < eps < 1.0:
         raise ValueError("radius must lie in (0, 1)")
     top = _floor_count(1.0 / (2.0 * eps), eps)
-    thetas = [2.0 * eps * i for i in range(top + 1)]
-    thetas.append(1.0)
-    return np.asarray(thetas)
+    thetas = 2.0 * eps * np.arange(top + 1)
+    if thetas[-1] < 1.0:
+        thetas = np.append(thetas, 1.0)
+    # sup over x in [0, 1] of |e^(-s x) - e^(-t x)| is at most |s - t|
+    gaps = np.diff(thetas)
+    if not (
+        np.all(gaps > 0)
+        and np.all(gaps <= 2.0 * eps + 1e-12)
+        and 1.0 - thetas[-1] <= eps + 1e-12
+    ):
+        raise AssertionError(f"centers for radius {eps} do not cover [0, 1]")
+    return thetas

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relucalc import (
     DimensionError,
@@ -27,7 +31,11 @@ from relucalc.analysis import (
     region_bound,
 )
 from relucalc.constructors import (
+    bspline_network,
+    cardinal_bspline,
+    cosine_network,
     gaussian_network,
+    multiply_network,
     sawtooth_network,
     square_interpolant_network,
     square_network,
@@ -181,6 +189,21 @@ def test_pwl_of_crossing_inside_tiny_interval():
     assert np.array_equal(pwl.values, want)
 
 
+def test_pwl_refuses_more_values_than_the_cap(monkeypatch):
+    # sawtooth_network(12) ends with 3 rows at 4097 breakpoints
+    net = sawtooth_network(12)
+    assert len(exact_pwl(net, (0.0, 1.0)).breakpoints) == 4097
+    monkeypatch.setattr(analysis, "MAX_PWL_VALUES", 10_000)
+    with pytest.raises(ResolutionError, match="MAX_PWL_VALUES"):
+        exact_pwl(net, (0.0, 1.0))
+
+
+def test_cos30_stays_well_under_the_pwl_cap():
+    net = cosine_network(30, 1, 1e-2)
+    count = len(exact_pwl(net, (-1.0, 1.0)).breakpoints)
+    assert max(net.dims) * count <= analysis.MAX_PWL_VALUES // 10
+
+
 # --- region counting --------------------------------------------------------------------
 
 
@@ -241,6 +264,37 @@ def test_error_report_rejects_several_outputs():
     net = parallelize_shared([sq, scale_output(sq, 5.0)])
     with pytest.raises(DimensionError, match="one-output"):
         error_report(net, lambda x: x * x, (0.0, 1.0), 1001)
+
+
+def _listed_error_report(net, reference, domain, grid_n):
+    # error_report as it was when it built its reference values as a list
+    boxes, axes, pts = analysis._eval_grid(net, domain, grid_n)
+    got = evaluate_batch(net, pts)[:, 0]
+    want = np.asarray([reference(*p) for p in pts.tolist()])
+    err = got - want
+    sup_idx = int(np.argmax(np.abs(err)))
+    l2 = math.sqrt(float(np.sum(analysis._quad_weights(axes) * err ** 2)))
+    return float(np.abs(err[sup_idx])), l2, tuple(float(x) for x in pts[sup_idx])
+
+
+@pytest.mark.parametrize(
+    "build, reference, domain, grid_n",
+    [
+        (lambda: cosine_network(30, 1, 1e-2), lambda x: math.cos(30.0 * x),
+         (-1.0, 1.0), 100_001),
+        (lambda: bspline_network(3, 1e-3), lambda x: cardinal_bspline(3, x),
+         (-2.0, 5.0), 20_001),
+        (lambda: multiply_network(1, 1e-4), lambda x, y: x * y,
+         [(-1.0, 1.0)] * 2, 301),
+        (lambda: square_network(1e-3), lambda x: round(10 * x), (-1.0, 2.0), 1001),
+    ],
+    ids=["cos30", "bspline3", "mult", "int_reference"],
+)
+def test_error_report_is_bitwise_the_listed_form(build, reference, domain, grid_n):
+    net = build()
+    report = error_report(net, reference, domain, grid_n)
+    got = (report.sup_error, report.l2_error, report.argmax)
+    assert got == _listed_error_report(net, reference, domain, grid_n)
 
 
 # --- minimax line fitting ----------------------------------------------------------------
@@ -412,6 +466,25 @@ def test_constant_for_cosine():
     assert abs(c - want) <= 1e-6
 
 
+def test_scipy_is_loaded_only_by_the_piece_constant():
+    script = (
+        "import math, sys\n"
+        "import relucalc, relucalc.cli, relucalc.analysis, relucalc.constructors\n"
+        "import relucalc.quantcode\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded at import'\n"
+        "c = relucalc.analysis.asymptotic_piece_constant(lambda x: 2.0, (0.0, 1.0))\n"
+        "assert abs(c - math.sqrt(2) / 4) <= 1e-9, c\n"
+    )
+    src = str(Path(analysis.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+
+
 # --- covering / packing -----------------------------------------------------------------------
 
 
@@ -438,6 +511,23 @@ def test_cover_interval_covers_any_radius(eps):
     xs = np.linspace(-1.0, 1.0, 20_001)
     pos = np.clip(np.searchsorted(centers, xs), 1, len(centers) - 1)
     dist = np.minimum(np.abs(xs - centers[pos - 1]), np.abs(xs - centers[pos]))
+    assert dist.max() <= eps + 1e-12
+
+
+@given(st.floats(1e-3, 1.0, exclude_max=True))
+@example(0.5)
+@example(0.25)
+@example(0.1)
+@example(0.05)
+@settings(max_examples=200, deadline=None)
+def test_cover_exp_family_covers_any_radius(eps):
+    thetas = cover_exp_family(eps)
+    assert len(thetas) <= math.floor(1.0 / (2.0 * eps)) + 2
+    assert thetas[0] == 0.0 and thetas[-1] == 1.0
+    assert np.all(np.diff(thetas) > 0)
+    ts = np.linspace(0.0, 1.0, 20_001)
+    pos = np.clip(np.searchsorted(thetas, ts), 1, len(thetas) - 1)
+    dist = np.minimum(np.abs(ts - thetas[pos - 1]), np.abs(ts - thetas[pos]))
     assert dist.max() <= eps + 1e-12
 
 

@@ -240,6 +240,17 @@ def test_regions_sawtooth(capsys, tmp_path):
     assert bound >= count
 
 
+def test_regions_past_the_breakpoint_cap_is_data_error(capsys, tmp_path, monkeypatch):
+    net_path = tmp_path / "saw.relunet"
+    run_cli(capsys, "build", "sawtooth", "--s", "12", "--out", str(net_path))
+    monkeypatch.setattr(analysis, "MAX_PWL_VALUES", 10_000)
+    code, stdout, stderr = run_cli(capsys, "regions", str(net_path), "0", "1")
+    assert code == 3
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "MAX_PWL_VALUES" in stderr
+
+
 def test_minpieces_square(capsys):
     code, stdout, _ = run_cli(
         capsys,
