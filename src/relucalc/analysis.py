@@ -141,9 +141,7 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     vals = grid.reshape(1, -1)
     for i, step in enumerate(plan.steps):
         pre = np.empty((step.rows, grid.size))
-        # _affine_step reads tmp only for the terms after the first
-        tmp_rows = max((len(src) for src, _ in step.terms[1:]), default=0)
-        _affine_step(step, vals, pre, np.empty((tmp_rows, grid.size)))
+        _affine_step(step, vals, pre, np.empty((plan.scratch, grid.size)))
         vals = pre
         if i < net.depth - 1:
             grid, vals = _relu_pass(grid, vals)

@@ -130,10 +130,10 @@ _CONSTRUCTORS = {
 }
 
 
-def _constructor(name: str):
-    if name not in _CONSTRUCTORS:
-        raise ValueError(f"unknown constructor '{name}'")
-    return _CONSTRUCTORS[name]
+def _lookup(table: dict, name: str, what: str):
+    if name not in table:
+        raise ValueError(f"unknown {what} '{name}'")
+    return table[name]
 
 
 def _emit(lines, out_path) -> None:
@@ -147,7 +147,7 @@ def _emit(lines, out_path) -> None:
 
 def cmd_build(args) -> None:
     """build a network and print metrics"""
-    net = _constructor(args.constructor)[0](args, args.eps)
+    net = _lookup(_CONSTRUCTORS, args.constructor, "constructor")[0](args, args.eps)
     if args.out:
         write_network(net, args.out)
     m = metrics(net)
@@ -172,9 +172,7 @@ def _axis_points(dim: int, points: int) -> int:
 
 def cmd_sweep(args) -> None:
     """tolerance sweep with measured errors"""
-    build, reference, domain = _constructor(args.constructor)
-    if not args.eps_list:
-        raise ValueError("empty tolerance list")
+    build, reference, domain = _lookup(_CONSTRUCTORS, args.constructor, "constructor")
     if reference is None:
         raise ValueError(f"constructor '{args.constructor}' has no sweep reference")
     reference = functools.partial(reference, args)
@@ -253,11 +251,8 @@ _MINPIECE_FUNCTIONS = {
 
 def cmd_minpieces(args) -> None:
     """greedy free-knot piece counts"""
-    if args.fname not in _MINPIECE_FUNCTIONS:
-        raise ValueError(f"unknown function '{args.fname}'")
-    if not args.eps_list:
-        raise ValueError("empty tolerance list")
-    f, f2 = (functools.partial(g, args) for g in _MINPIECE_FUNCTIONS[args.fname])
+    entry = _lookup(_MINPIECE_FUNCTIONS, args.fname, "function")
+    f, f2 = (functools.partial(g, args) for g in entry)
     interval = (args.lo, args.hi)
     constant = analysis.asymptotic_piece_constant(f2, interval)
     lines = ["eps,pieces,pieces_sqrt_eps,constant"]
@@ -327,6 +322,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if not getattr(args, "eps_list", True):  # read by sweep and minpieces
+            raise ValueError("empty tolerance list")
         args.func(args)
     except Exception as exc:
         for types, code, prefix in _FAILURES:

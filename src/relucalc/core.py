@@ -201,6 +201,7 @@ class _Step(NamedTuple):
 class _Plan(NamedTuple):
     steps: tuple[_Step, ...]
     width: int
+    scratch: int  # rows of the widest term after the first, in any step
     out_rows: np.ndarray  # buffer row of each output coordinate
 
 
@@ -262,12 +263,15 @@ def _compile(net: ReluNetwork) -> _Plan:
                 rows=int(out_dims[i]),
             )
         )
-    return _Plan(tuple(steps), max(net.dims), pos[row_start[-2] :])
+    # terms narrow as k grows, so term 1 is a layer's widest after term 0
+    scratch = int(np.bincount(ell[term == 1], minlength=1).max())
+    return _Plan(tuple(steps), max(net.dims), scratch, pos[row_start[-2] :])
 
 
 def _affine_step(step: _Step, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """Pre-activations of one layer in buffer order: h (rows of the previous
-    layer, n) -> out (step.rows, n), with tmp at least (len(step.bias), n)."""
+    layer, n) -> out (step.rows, n).  tmp holds the terms after the first, so
+    it needs as many rows as the widest of them (the plan's scratch)."""
     acc = out[: len(step.bias)]
     for k, (src, weights) in enumerate(step.terms):
         t = tmp[: len(src)] if k else acc[: len(src)]  # term 0 starts the sum
@@ -303,12 +307,12 @@ def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
     plan = net._plan
     last = len(plan.steps) - 1
     out = np.empty((xs.shape[0], net.out_dim))
-    size = plan.width * min(xs.shape[0], CHUNK_POINTS)
-    bufs = (np.empty(size), np.empty(size), np.empty(size))
+    chunk = min(xs.shape[0], CHUNK_POINTS)
+    bufs = [np.empty(rows * chunk) for rows in (plan.width, plan.width, plan.scratch)]
     for start in range(0, xs.shape[0], CHUNK_POINTS):
         h = np.ascontiguousarray(xs[start : start + CHUNK_POINTS].T)
         n = h.shape[1]
-        tmp = bufs[2][: plan.width * n].reshape(-1, n)
+        tmp = bufs[2][: plan.scratch * n].reshape(-1, n)
         for i, step in enumerate(plan.steps):
             nxt = bufs[i % 2][: step.rows * n].reshape(-1, n)
             _affine_step(step, h, nxt, tmp)

@@ -11,6 +11,7 @@ range without loss.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -140,22 +141,20 @@ def quantize_network(
     """
     if k < 1:
         raise ValueError(f"k = {k} is not a positive integer")
-    m = quantization_resolution(net, k, domain_half_width)
-    grid = QuantGrid(m, eps)  # validates eps before it is raised to -k
-    try:
-        cap = float(eps) ** -k
-    except OverflowError:
-        raise ValueError(
-            f"k = {k} is too large: eps**-k exceeds the float range"
-        ) from None
     k_min = minimal_quantization_k(net, eps)
     if k < k_min:
         stats = metrics(net)
         raise QuantizationError(
             f"connectivity {stats.connectivity} or magnitude "
-            f"{stats.weight_magnitude:g} exceeds eps**-k = {cap:g}; "
+            f"{stats.weight_magnitude:g} exceeds eps**-{k}; "
             f"smallest admissible k is {k_min}"
         )
+    # a larger k fits too, but one past the float range gains nothing over
+    # k_min and only grows m
+    if k > k_min and k * -math.log2(eps) > sys.float_info.max_exp:
+        raise ValueError(f"k = {k} is too large: eps**-k exceeds the float range")
+    m = quantization_resolution(net, k, domain_half_width)
+    grid = QuantGrid(m, eps)
     layers = []
     for layer in net.layers:
         mat = np.array(
@@ -400,11 +399,6 @@ def decode(bits: BitString, m: int, eps: float) -> ReluNetwork | None:
             f"bitstring truncated: {len(bits) - pos} bits left for {weights} "
             f"weights of {width_b} bits"
         )
-    # encode takes only networks where these hold
-    if not all(kids for fan in fans for kids in fan):
-        raise CodecError("a non-output node has no child")
-    if len({row for kids in fans[-1] for row in kids}) != dims[depth]:
-        raise CodecError("an output node has no parent")
     offset = 1 << (width_b - 1)
 
     def weight() -> float:
@@ -429,11 +423,17 @@ def decode(bits: BitString, m: int, eps: float) -> ReluNetwork | None:
         raise CodecError(f"{len(bits) - pos} trailing bits after decode")
     if np.any(node_weights[0]):
         raise CodecError("input nodes must carry zero node weights")
-    nonzero_edges = sum(np.count_nonzero(mt) for mt in mats)
-    if nonzero_edges != edges:
+    if sum(np.count_nonzero(mt) for mt in mats) != edges:
         raise CodecError("edge weights must be nonzero")
-    if nonzero_edges + sum(np.count_nonzero(w) for w in node_weights) != big_m:
-        raise CodecError(f"header connectivity {big_m} differs from the decoded one")
-    return ReluNetwork(
+    net = ReluNetwork(
         tuple(AffineLayer(mt, bs) for mt, bs in zip(mats, node_weights[1:]))
     )
+    del mats  # the layers copied these; free them before metrics takes |matrix|
+    # encode takes only networks where these hold
+    if not is_nondegenerate(net):
+        raise CodecError(
+            "a non-output node has no child or an output node has no parent"
+        )
+    if metrics(net).connectivity != big_m:
+        raise CodecError(f"header connectivity {big_m} differs from the decoded one")
+    return net

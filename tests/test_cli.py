@@ -209,6 +209,17 @@ def test_codec_weight_near_the_float_maximum_is_data_error(capsys, tmp_path):
     assert "smallest admissible k is 995" in stderr
 
 
+def test_codec_accepts_the_smallest_k_past_the_float_range(capsys, tmp_path):
+    net_path = tmp_path / "huge.relunet"
+    write_network(network([([[1.7e308]], [0.0]), ([[1.0]], [0.5])]), net_path)
+    code, stdout, stderr = run_cli(
+        capsys, "codec", str(net_path), "--k", "995", "--eps", "0.49"
+    )
+    assert (code, stderr) == (0, "")
+    header, row = stdout.strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["round_trip_ok"] == "1"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

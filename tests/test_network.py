@@ -24,6 +24,7 @@ from relucalc.quantcode import (
     quantize_network,
 )
 from conftest import hat_reference, random_net
+from test_digests import BUILDS
 
 
 def test_identity_via_relu_pair():
@@ -287,6 +288,24 @@ def test_evaluate_batch_matches_reference_on_sparse_nets():
 
 def test_chunk_is_above_numpy_buffered_broadcast_threshold():
     assert core.CHUNK_POINTS > np.getbufsize() // 2
+
+
+@pytest.mark.parametrize("key", sorted(BUILDS))
+def test_plan_scratch_is_the_widest_term_after_the_first(key):
+    # _affine_step writes tmp only for the terms after the first, so the
+    # plan's scratch rows are enough and give what plan.width rows give
+    net = BUILDS[key]()
+    plan = net._plan
+    widths = [len(src) for step in plan.steps for src, _ in step.terms[1:]]
+    assert plan.scratch == max(widths, default=0)
+    n = 64
+    h = np.random.default_rng(0).uniform(-2.0, 2.0, (net.in_dim, n))
+    for step in plan.steps:
+        tight, wide = np.empty((2, step.rows, n))
+        core._affine_step(step, h, tight, np.empty((plan.scratch, n)))
+        core._affine_step(step, h, wide, np.empty((plan.width, n)))
+        assert np.array_equal(tight.view(np.uint64), wide.view(np.uint64))
+        h = np.maximum(tight, 0.0)
 
 
 def assert_bitwise_column_sequential(net, xs):

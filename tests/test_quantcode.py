@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -193,6 +194,29 @@ def test_minimal_k_past_the_float_range_of_eps_to_minus_k():
     k = minimal_quantization_k(net, 0.49)
     assert k == 995
     assert 0.49 ** -(k - 1) < 1.7e308
+
+
+@pytest.mark.parametrize("bias", [0.0, 0.5])
+def test_quantize_accepts_k_min_past_the_float_range(bias):
+    # eps**-995 is no float, yet 995 is the smallest admissible k; only a
+    # larger k past the float range is a usage error
+    net = network([([[1.7e308]], [0.0]), ([[1.0]], [bias])])
+    assert minimal_quantization_k(net, 0.49) == 995
+    quant, m = quantize_network(net, 995, 1.0, 0.49)
+    assert m == 5970
+    if bias:  # at connectivity 2 the 1-bit size fields cannot hold depth 2
+        assert decode(encode(quant, m, 0.49), m, 0.49) == quant
+    with pytest.raises(ValueError, match="k = 996") as err:
+        quantize_network(net, 996, 1.0, 0.49)
+    assert not isinstance(err.value, QuantizationError)
+
+
+def test_quantize_rejects_a_huge_k_fast():
+    # m = 3 k L would make the lattice bound a huge-integer power
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"k = {10 ** 18}"):
+        quantize_network(square_network(1e-2), 10 ** 18, 1.0, 0.01)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_quantize_error_law_on_constructors():
