@@ -175,8 +175,6 @@ def region_bound(net: ReluNetwork) -> int:
 class ErrorReport:
     """Grid-based sup and L2 error of a network against a reference."""
 
-    domain: tuple
-    grid_n: int
     sup_error: float
     l2_error: float
     argmax: tuple
@@ -237,7 +235,7 @@ def error_report(
         raise DimensionError(
             f"error_report needs a one-output network, got {net.out_dim} outputs"
         )
-    boxes, axes, pts = _eval_grid(net, domain, grid_n)
+    _, axes, pts = _eval_grid(net, domain, grid_n)
     got = evaluate_batch(net, pts)[:, 0]
     want = np.fromiter(map(reference, *pts.T.tolist()), np.float64, len(pts))
     err = got - want
@@ -245,8 +243,6 @@ def error_report(
     weights = _quad_weights(axes)
     l2 = math.sqrt(float(np.sum(weights * err ** 2)))
     return ErrorReport(
-        domain=tuple(boxes),
-        grid_n=grid_n,
         sup_error=float(np.abs(err[sup_idx])),
         l2_error=l2,
         argmax=tuple(float(x) for x in pts[sup_idx]),

@@ -30,11 +30,6 @@ class CodecError(ValueError):
     """Malformed or inconsistent bitstring."""
 
 
-def _ceil_log2_int(x: int) -> int:
-    """ceil(log2(x)) for a positive integer."""
-    return (x - 1).bit_length()
-
-
 def _ceil_log2_inv(eps: float) -> int:
     """ceil(log2(1/eps)) computed exactly for eps in (0, 1)."""
     num, den = eps.as_integer_ratio()
@@ -157,10 +152,11 @@ def quantize_network(
     grid = QuantGrid(m, eps)
     layers = []
     for layer in net.layers:
-        mat = np.array(
-            [grid.round(v) for v in layer.matrix.ravel()]
-        ).reshape(layer.matrix.shape)
-        bias = np.array([grid.round(v) for v in layer.bias])
+        mat = np.zeros(layer.matrix.shape)
+        # zeros, -0.0 included, round to +0.0, which mat already holds
+        nonzero = np.nonzero(layer.matrix)
+        mat[nonzero] = [grid.round(v) for v in layer.matrix[nonzero].tolist()]
+        bias = np.array([grid.round(v) for v in layer.bias.tolist()])
         layers.append(AffineLayer(mat, bias))
     return ReluNetwork(tuple(layers)), m
 
@@ -248,64 +244,62 @@ class BitString:
 # --- codec ------------------------------------------------------------------
 
 
+def _index_width(n: int) -> int:
+    """The codec's one field width, max(1, ceil(log2(n + 1))): the bits that
+    hold every value 0..n, so 1..n and a zero terminator."""
+    return max(1, n.bit_length())
+
+
 def code_length_bound(connectivity: int, m: int, eps: float) -> int:
-    """Closed-form bit budget for a network with the given connectivity."""
-    if connectivity < 0:
-        raise ValueError("connectivity must be nonnegative")
-    if connectivity == 0:
-        return 1
+    """Bits encode emits at most for a network of connectivity M >= 1.
+
+    encode takes only nondegenerate networks: every non-output node has an
+    edge out and every output node an edge in, so there are at most M edges,
+    M non-output nodes and M output nodes, and depth and every dimension are
+    at most M.  Term by term, with b the weight width and w = _index_width:
+    3M * b for the node and edge weights (at most 2M + M), 3M * w(2M) for
+    the child indices and their terminators (at most M + M, over at most 2M
+    nodes), (M + 2) * w(M) for depth and the depth + 1 dimensions, and M + 1
+    for the unary connectivity.
+    """
+    if connectivity < 1:
+        raise ValueError(f"connectivity {connectivity} is below 1")
     big_m = connectivity
     b_eps = QuantGrid(m, eps).bits_per_weight
     return (
         3 * big_m * b_eps
-        + 3 * big_m * _ceil_log2_int(2 * big_m)
-        + (big_m + 2) * _ceil_log2_int(big_m)
+        + 3 * big_m * _index_width(2 * big_m)
+        + (big_m + 2) * _index_width(big_m)
         + big_m
         + 1
     )
 
 
-def _index_width(total: int) -> int:
-    """Width for values 1..total with an all-zero terminator."""
-    return max(1, _ceil_log2_int(total + 1))
-
-
-def _size_width(connectivity: int) -> int:
-    return max(1, _ceil_log2_int(connectivity))
-
-
 def encode(net: ReluNetwork, m: int, eps: float) -> BitString:
-    """Serialize a non-degenerate network with lattice weights to bits.
+    """Serialize a nondegenerate network with lattice weights to bits.
 
-    Layout: unary connectivity; depth; layer dimensions; per non-output node
-    the ascending child indices (zero-terminated); then per node its node
-    weight followed by the edge weights to its children, each as an
-    offset-binary lattice index.
+    Layout: unary connectivity M >= 1; depth and the layer dimensions in
+    _index_width(M)-bit fields; per non-output node its ascending child
+    indices in _index_width(node count)-bit fields, zero-terminated; then per
+    node its node weight followed by the edge weights to its children, each
+    as an offset-binary lattice index.  A network with connectivity 0 is
+    degenerate and raises CodecError like any other.
     """
     grid = QuantGrid(m, eps)
     width_b = grid.bits_per_weight
-    big_m = metrics(net).connectivity
-    out = BitString()
-    if big_m == 0:
-        out.append_uint(0, 1)
-        return out
     if not is_nondegenerate(net):
         raise CodecError(
             "encoder requires every non-output node to have an outgoing edge "
             "and every output node an incoming one (prune first)"
         )
+    big_m = metrics(net).connectivity
+    out = BitString()
     out.append_unary(big_m)
-    w_m = _size_width(big_m)
-    depth = net.depth
+    # nondegenerate: depth and every dimension are at most big_m
+    w_m = _index_width(big_m)
     dims = net.dims
-    if depth >> w_m or any(d >> w_m for d in dims):
-        raise CodecError(
-            f"dimensions {dims} or depth {depth} overflow the {w_m}-bit size "
-            f"fields implied by connectivity {big_m}"
-        )
-    out.append_uint(depth, w_m)
-    for d in dims:
-        out.append_uint(d, w_m)
+    for field in (net.depth, *dims):
+        out.append_uint(field, w_m)
 
     w_n = _index_width(sum(dims))
     # global index (layer-major, from 1) of the first node of layer ell + 1
@@ -345,8 +339,9 @@ def encode(net: ReluNetwork, m: int, eps: float) -> BitString:
     return out
 
 
-def decode(bits: BitString, m: int, eps: float) -> ReluNetwork | None:
-    """Invert encode; returns None for the connectivity-zero sentinel."""
+def decode(bits: BitString, m: int, eps: float) -> ReluNetwork:
+    """Invert encode: the network the bits encode, or CodecError for bits
+    that encode emits for no network."""
     grid = QuantGrid(m, eps)
     width_b = grid.bits_per_weight
     pos = 0
@@ -362,9 +357,7 @@ def decode(bits: BitString, m: int, eps: float) -> ReluNetwork | None:
         if take(1) == 0:
             break
         big_m += 1
-    if big_m == 0:
-        return None
-    w_m = _size_width(big_m)
+    w_m = _index_width(big_m)
     depth = take(w_m)
     if depth < 1:
         raise CodecError("decoded depth must be positive")

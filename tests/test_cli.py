@@ -221,6 +221,40 @@ def test_codec_accepts_the_smallest_k_past_the_float_range(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "layers, argv",
+    [
+        ([([[1.0]], [0.0])], ["--eps", "0.25"]),
+        ([([[1.0]], [0.0]), ([[1.0]], [0.0])], ["--eps", "0.25"]),
+        ([([[1.7e308]], [0.0]), ([[1.0]], [0.0])], ["--k", "995", "--eps", "0.49"]),
+    ],
+    ids=["identity", "identity-chain", "huge-chain"],
+)
+def test_codec_round_trips_where_depth_or_a_size_field_is_full(
+    capsys, tmp_path, layers, argv
+):
+    # connectivity 1 or 2: the header fields hold depth and dimensions up to M,
+    # and the bound covers the bits emitted
+    net_path = tmp_path / "net.relunet"
+    write_network(network(layers), net_path)
+    code, stdout, stderr = run_cli(capsys, "codec", str(net_path), *argv)
+    assert (code, stderr) == (0, "")
+    header, row = stdout.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["round_trip_ok"] == "1"
+    assert int(fields["bits"]) <= int(fields["bound"])
+
+
+def test_codec_all_zero_network_is_data_error(capsys, tmp_path):
+    net_path = tmp_path / "zero.relunet"
+    write_network(network([([[0.0]], [0.0])]), net_path)
+    code, stdout, stderr = run_cli(capsys, "codec", str(net_path), "--eps", "0.25")
+    assert code == 3
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "prune first" in stderr
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["build", "square"],

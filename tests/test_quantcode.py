@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relucalc import (
     evaluate_batch,
@@ -130,6 +130,35 @@ def test_quantize_leaves_lattice_weights_alone():
     assert net == quant
 
 
+def test_quantize_is_bitwise_the_rounding_of_every_entry():
+    # reference: round every dense entry, zeros included; -0.0 and values
+    # that round to zero come out +0.0 either way
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        net = random_net(rng)
+        net = network(
+            [
+                (np.where(rng.random(l.matrix.shape) < 0.5, -0.0, l.matrix),
+                 np.where(rng.random(l.bias.shape) < 0.3, -0.0, l.bias))
+                for l in net.layers
+            ]
+        )
+        k = minimal_quantization_k(net, 0.25)
+        quant, m = quantize_network(net, k, 1.0, 0.25)
+        grid = QuantGrid(m, 0.25)
+        want = network(
+            [
+                (np.vectorize(grid.round, otypes=[float])(l.matrix),
+                 np.vectorize(grid.round, otypes=[float])(l.bias))
+                for l in net.layers
+            ]
+        )
+        assert quant == want
+        for layer in quant.layers:
+            for arr in (layer.matrix, layer.bias):
+                assert not np.signbit(arr[arr == 0]).any()
+
+
 def test_quantize_reports_violations():
     net = network([([[100.0]], [0.0])])
     with pytest.raises(QuantizationError) as err:
@@ -204,8 +233,7 @@ def test_quantize_accepts_k_min_past_the_float_range(bias):
     assert minimal_quantization_k(net, 0.49) == 995
     quant, m = quantize_network(net, 995, 1.0, 0.49)
     assert m == 5970
-    if bias:  # at connectivity 2 the 1-bit size fields cannot hold depth 2
-        assert decode(encode(quant, m, 0.49), m, 0.49) == quant
+    assert decode(encode(quant, m, 0.49), m, 0.49) == quant
     with pytest.raises(ValueError, match="k = 996") as err:
         quantize_network(net, 996, 1.0, 0.49)
     assert not isinstance(err.value, QuantizationError)
@@ -336,10 +364,11 @@ def test_bitstring_fields_at_any_alignment(fields):
 
 
 def test_encode_empty_network_single_zero():
-    net = network([([[0.0]], [0.0])])
-    bits = encode(net, 2, 0.25)
-    assert bits.to_list() == [0]
-    assert decode(bits, 2, 0.25) is None
+    # connectivity 0 is degenerate: no node has an edge, so there is no bitstring
+    with pytest.raises(CodecError, match="prune first"):
+        encode(network([([[0.0]], [0.0])]), 2, 0.25)
+    with pytest.raises(CodecError):
+        decode(BitString([0]), 2, 0.25)
 
 
 def test_unary_prefix():
@@ -387,18 +416,59 @@ def test_round_trip_random_lattice_nets():
         if not is_nondegenerate(snapped):
             continue
         stats = metrics(snapped)
-        if stats.connectivity == 0:
-            continue
-        # skip the known power-of-two corner where the size fields overflow
-        w_m = max(1, (stats.connectivity - 1).bit_length())
-        if max(max(snapped.dims), snapped.depth) >= 2 ** w_m:
-            continue
         count += 1
         bits = encode(snapped, m, eps)
         back = decode(bits, m, eps)
         assert snapped == back
         assert len(bits) <= code_length_bound(stats.connectivity, m, eps)
     assert count >= 20
+
+
+LATTICE_2 = st.integers(-256, 256).filter(bool).map(lambda i: i / 16)
+
+
+@st.composite
+def power_of_two_lattice_nets(draw):
+    """Nondegenerate networks on QuantGrid(2, 0.25) whose connectivity M is
+    1 or a power of two, where depth or a dimension may equal M."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    mats = []
+    for ell in range(len(dims) - 1):
+        rows, cols = dims[ell + 1], dims[ell]
+        mask = np.zeros((rows, cols), dtype=bool)
+        for col in range(cols):  # every node feeds a child
+            kids = draw(st.sets(st.integers(0, rows - 1), min_size=1))
+            mask[list(kids), col] = True
+        if ell == len(dims) - 2:  # every output node has a parent
+            for row in np.flatnonzero(~mask.any(axis=1)):
+                mask[row, draw(st.integers(0, cols - 1))] = True
+        mat = np.zeros((rows, cols))
+        mat[mask] = [draw(LATTICE_2) for _ in range(int(mask.sum()))]
+        mats.append(mat)
+    edges = sum(np.count_nonzero(mat) for mat in mats)
+    nodes = sum(dims[1:])
+    targets = [2 ** j for j in range(7) if edges <= 2 ** j <= edges + nodes]
+    assume(targets)
+    conn = draw(st.sampled_from(targets))
+    live = draw(st.permutations(range(nodes)))[: conn - edges]
+    biases = np.zeros(nodes)
+    biases[live] = [draw(LATTICE_2) for _ in live]
+    cuts = np.cumsum(dims[1:-1]).tolist()
+    return network(list(zip(mats, np.split(biases, cuts))))
+
+
+@given(power_of_two_lattice_nets())
+@example(network([([[1.0]], [0.0])]))
+@example(network([([[1.0]], [0.0]), ([[1.0]], [0.0])]))
+@example(network([([[1.0]], [0.0])] * 4))
+@settings(max_examples=150, deadline=None)
+def test_round_trip_at_power_of_two_connectivity(net):
+    m, eps = 2, 0.25
+    conn = metrics(net).connectivity
+    assert is_nondegenerate(net) and conn & (conn - 1) == 0
+    bits = encode(net, m, eps)
+    assert decode(bits, m, eps) == net
+    assert len(bits) <= code_length_bound(conn, m, eps)
 
 
 def test_decode_rejects_truncation(hat_net):
@@ -451,9 +521,9 @@ def test_decode_rejects_index_outside_clip_range(hat_net, m, index, match):
 
 def raw_bits(conn, dims, children, weights):
     """Bits in encode's layout for m=2, eps=0.25 and four nodes: unary
-    connectivity, depth and dims in ceil(log2(conn))-bit fields, 3-bit child
-    indices, and 10-bit weights at offset 512 with lattice step 1/16."""
-    width = max(1, (conn - 1).bit_length())
+    connectivity, depth and dims in ceil(log2(conn + 1))-bit fields, 3-bit
+    child indices, and 10-bit weights at offset 512 with lattice step 1/16."""
+    width = conn.bit_length()
     bits = BitString()
     bits.append_unary(conn)
     for field in (len(dims) - 1, *dims):
@@ -519,13 +589,41 @@ def test_encode_rejects_degenerate(hat_net):
 
 
 def test_code_length_bound_example():
-    # connectivity 1, m=1, eps=1/4: per-weight width 6, bound 23
+    # connectivity 1, m=1, eps=1/4: per-weight width 6, so 3 weights take 18
+    # bits, 3 child fields of w(2) = 2 bits take 6, 3 size fields of w(1) = 1
+    # bit take 3, and the unary connectivity 2: bound 29
     assert QuantGrid(1, 0.25).bits_per_weight == 6
-    assert code_length_bound(1, 1, 0.25) == 23
+    assert code_length_bound(1, 1, 0.25) == 29
+    # x -> x emits 2 + 3 + 2 * 2 + 3 * 6 = 27 bits
+    assert len(encode(network([([[1.0]], [0.0])]), 1, 0.25)) == 27
 
 
 def test_code_length_bound_empty():
-    assert code_length_bound(0, 1, 0.25) == 1
+    with pytest.raises(ValueError, match="below 1"):
+        code_length_bound(0, 1, 0.25)
+
+
+def ceil_log2_bound(conn, m, eps):
+    """code_length_bound as it was with ceil(log2(n))-bit fields, which hold
+    only n - 1 when n is a power of two."""
+    b_eps = QuantGrid(m, eps).bits_per_weight
+    return (
+        3 * conn * b_eps
+        + 3 * conn * (2 * conn - 1).bit_length()
+        + (conn + 2) * (conn - 1).bit_length()
+        + conn
+        + 1
+    )
+
+
+def test_code_length_bound_changes_only_at_powers_of_two():
+    for conn in range(1, 4097):
+        old = ceil_log2_bound(conn, 2, 0.25)
+        if conn & (conn - 1):
+            assert code_length_bound(conn, 2, 0.25) == old
+        else:
+            # one more bit in each of the 3M child and M + 2 size fields
+            assert code_length_bound(conn, 2, 0.25) == old + 4 * conn + 2
 
 
 def test_code_length_bound_monotone():
