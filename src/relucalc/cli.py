@@ -162,12 +162,21 @@ def cmd_build(args) -> None:
 
 
 def _axis_points(dim: int, points: int) -> int:
-    """Points per axis of a dim-D tensor grid of about `points` points."""
+    """Points per axis of a dim-D tensor grid of about `points` points.  With
+    several axes it takes at least 3 per axis, so that the grid holds more
+    than the corners of the box."""
     if points < 2:
         raise ValueError("need at least two grid points per axis")
     if dim == 1:
         return points
-    return max(2, round(points ** (1.0 / dim)))
+    per_axis = round(points ** (1.0 / dim))
+    if per_axis < 3:
+        # round(n ** (1/dim)) >= 3 exactly when n > 2.5 ** dim
+        raise ValueError(
+            f"--grid {points} gives fewer than 3 points per axis on {dim} "
+            f"inputs; use --grid {math.floor(2.5 ** dim) + 1} or more"
+        )
+    return per_axis
 
 
 def cmd_sweep(args) -> None:
@@ -197,7 +206,8 @@ def cmd_sweep(args) -> None:
 def cmd_codec(args) -> None:
     """prune, quantize, encode, decode, verify"""
     net = read_network(args.netfile)
-    grid_n = _axis_points(net.in_dim, min(args.grid, 20_001))
+    # at most 20001 points, unless 3 per axis take more
+    grid_n = _axis_points(net.in_dim, min(args.grid, max(20_001, 3 ** net.in_dim)))
     _, axes = analysis._uniform_axes(net, [(-args.D, args.D)] * net.in_dim, grid_n)
     # encode takes only nondegenerate networks; prune keeps the function
     quant, m = quantcode.quantize_network(

@@ -10,6 +10,7 @@ from .algebra import (
 from .smooth import (
     ChebyshevExpansion,
     SmoothDescriptor,
+    chebyshev_degree,
     chebyshev_expand,
     chebyshev_nodes,
     chebyshev_to_monomial,

@@ -4,7 +4,9 @@ hat-partition stitching that extends them to arbitrary intervals.
 A function qualifies when its n-th derivative is bounded by n! on the
 interval; this cannot be checked mechanically and is recorded as a trust
 precondition on SmoothDescriptor, with a coefficient-decay heuristic as a
-guard.
+guard.  A descriptor may also carry a closed-form bound on its interpolation
+error, which lets smooth_network use a lower degree than the class's worst
+case.
 """
 
 from __future__ import annotations
@@ -32,11 +34,16 @@ WARN_DEGREE = 25
 @dataclass(frozen=True)
 class SmoothDescriptor:
     """A scalar function on an interval, trusted to have n-th derivatives
-    bounded by n! there."""
+    bounded by n! there.
+
+    tail_bound, when given, maps a degree n to an upper bound on
+    sup |f - p_n| over [-1, 1], where p_n interpolates f at the n + 1
+    first-kind Chebyshev points."""
 
     evaluator: Callable[[float], float]
     interval: tuple[float, float]
     label: str = ""
+    tail_bound: Callable[[int], float] | None = None
 
     def __post_init__(self):
         a, b = _interval(self.interval)
@@ -118,15 +125,26 @@ def chebyshev_expand(f: SmoothDescriptor, m: int) -> ChebyshevExpansion:
 
 
 def interpolation_degree(eps: float) -> int:
-    """Chebyshev degree used for tolerance eps."""
+    """Chebyshev degree that meets tolerance eps for every trusted-smooth f."""
     _check_eps(eps)
     return math.ceil(math.log2(2.0 / eps))
 
 
+def chebyshev_degree(f: SmoothDescriptor, eps: float) -> int:
+    """Degree smooth_network uses for f at tolerance eps: the smallest
+    n <= interpolation_degree(eps) with f.tail_bound(n) <= eps/2, and
+    interpolation_degree(eps) itself when f has no tail bound."""
+    cap = interpolation_degree(eps)
+    if f.tail_bound is None:
+        return cap
+    return next((n for n in range(cap) if f.tail_bound(n) <= eps / 2.0), cap)
+
+
 def smooth_network(f: SmoothDescriptor, eps: float) -> ReluNetwork:
     """Approximate a trusted-smooth f on [-1, 1] within eps via its Chebyshev
-    interpolant realized as a polynomial network; width at most 9."""
-    m = interpolation_degree(eps)
+    interpolant realized as a polynomial network; width at most 9.  Half of
+    eps goes to the interpolation error, half to the polynomial network."""
+    m = chebyshev_degree(f, eps)
     expansion = chebyshev_expand(f, m)
     guard = max(abs(c) for c in expansion.coeffs)
     if guard > 2.0 + 1e-6:

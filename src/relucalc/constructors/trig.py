@@ -25,11 +25,35 @@ from .smooth import SmoothDescriptor, smooth_network
 _COS_SCALE = 6.0 / math.pi ** 3
 
 
-def _scaled_cosine_core(eps: float) -> ReluNetwork:
-    f = SmoothDescriptor(
-        lambda x: _COS_SCALE * math.cos(math.pi * x), (-1.0, 1.0), "scaled cos"
-    )
-    return smooth_network(f, _COS_SCALE * eps)
+def _cosine_tail_bound(n: int) -> float:
+    """Upper bound on sup |f - p_n| on [-1, 1] for f(x) = (6/pi^3) cos(pi x)
+    and p_n its interpolant at n + 1 first-kind Chebyshev points.
+
+    Jacobi-Anger gives f = (6/pi^3) sum_k a_k T_k with |a_k| <= 2 |J_k(pi)|
+    for even k and a_k = 0 for odd k, and |J_k(pi)| <= (pi/2)^k / k!
+    (DLMF 10.14.4).  Aliasing gives sup |f - p_n| <= 2 sum_{k>n} |a_k|
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 4), so
+
+        sup |f - p_n| <= 4 (6/pi^3) sum_{k>n, k even} (pi/2)^k / k!.
+
+    Successive even terms shrink by (pi/2)^2 / ((k+1)(k+2)), a ratio that
+    falls with k, so the sum is at most its first term t_k (k the least even
+    integer above n) times 1 / (1 - (pi/2)^2 / ((k+1)(k+2))).  t_k is taken
+    through lgamma, so it underflows to 0 at large k instead of overflowing;
+    its rounding is far inside the slack of the Bessel bound.
+    """
+    k = n + 2 - n % 2
+    first = math.exp(k * math.log(math.pi / 2.0) - math.lgamma(k + 1))
+    ratio = (math.pi / 2.0) ** 2 / ((k + 1) * (k + 2))
+    return 4.0 * _COS_SCALE * first / (1.0 - ratio)
+
+
+_COSINE_CORE = SmoothDescriptor(
+    lambda x: _COS_SCALE * math.cos(math.pi * x),
+    (-1.0, 1.0),
+    "scaled cos",
+    tail_bound=_cosine_tail_bound,
+)
 
 
 def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
@@ -43,7 +67,7 @@ def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
     # Fold [-D, D] onto [-1, 1]; for D < 1 the unit-interval network already
     # covers the domain.
     a_eff = a * d if d > 1.0 else a
-    core = _scaled_cosine_core(eps)
+    core = smooth_network(_COSINE_CORE, _COS_SCALE * eps)
     if a_eff > math.pi:
         try:
             s = math.ceil(math.log2(a_eff) - math.log2(math.pi))

@@ -34,6 +34,14 @@ def test_build_sawtooth_depth(capsys):
     assert int(row.split(",")[2]) == 5  # depth s+1
 
 
+def test_build_cosine_at_high_accuracy(capsys):
+    # degree 18 by the cosine's coefficient bound; the class-wide rule would
+    # ask for 44, past the conditioning cap
+    code, stdout, _ = run_cli(capsys, "build", "cosine", "--eps", "1e-12")
+    assert code == 0
+    assert stdout.splitlines()[1].startswith("cosine,")
+
+
 def test_build_unknown_constructor(capsys):
     code, _, stderr = run_cli(capsys, "build", "nosuch")
     assert code == 2
@@ -91,15 +99,32 @@ def test_sweep_gaussian_meets_tolerance(capsys):
 
 
 def test_sweep_splits_the_grid_across_six_axes(capsys):
-    # 11 points over 6 axes is 2 per axis; a fixed per-axis floor of 33
+    # 245 points over 6 axes is 3 per axis; a fixed per-axis floor of 33
     # would ask for 33**6 points (about 10 GB)
     code, stdout, _ = run_cli(
         capsys, "sweep", "gaussian", "--m", "6", "--eps-list", "0.1",
-        "--grid", "11",
+        "--grid", "245",
     )
     assert code == 0
     eps, err = (float(v) for v in stdout.strip().splitlines()[1].split(",")[:2])
     assert err <= eps
+
+
+@pytest.mark.parametrize("grid", ["11", "244"])
+def test_sweep_grid_of_box_corners_is_usage_error(capsys, grid):
+    # fewer than 3 points per axis hit only the 64 corners of the box, where
+    # network and Gaussian are both about 0; 245 is the least count that
+    # gives 3 per axis
+    code, stdout, stderr = run_cli(
+        capsys, "sweep", "gaussian", "--m", "6", "--eps-list", "0.1",
+        "--grid", grid,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        f"invalid parameters: --grid {grid} gives fewer than 3 points per axis "
+        "on 6 inputs; use --grid 245 or more"
+    ]
 
 
 def test_sweep_without_reference_is_usage_error(capsys):
@@ -167,6 +192,17 @@ def test_codec_deep_sawtooth_uses_uniform_grid(capsys, tmp_path, monkeypatch):
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["round_trip_ok"] == "1"
     assert float(fields["deviation"]) <= 0.25
+
+
+def test_codec_keeps_three_points_per_axis_past_its_cap(capsys, tmp_path):
+    # 20001 points would leave 2 per axis on 11 inputs; codec takes 3**11
+    net_path = tmp_path / "sum11.relunet"
+    write_network(network([([[0.5] * 11], [0.0])]), net_path)
+    code, stdout, _ = run_cli(
+        capsys, "codec", str(net_path), "--k", "2", "--eps", "0.25"
+    )
+    assert code == 0
+    assert stdout.splitlines()[1].split(",")[3] == "1"  # round_trip_ok
 
 
 def test_codec_single_grid_point_is_usage_error(capsys, tmp_path):

@@ -64,13 +64,13 @@ BUILDS = {
 
 # sha256 of each build's relunet file
 DIGESTS = {
-    "weier": "30cb46de3694bb287826e3fe54f2c360ccb3d2a34bc90d1b05fed9dbe36da0b3",
+    "weier": "c97723238121b095b7afe51d8bbf02cac4a47ec05a01ce69d632082814906dcc",
     "polynomial": "60202cb5037d3f5dfa4f391b41a1578c7a104efac42565b3171bcb7802548880",
     "gauss1": "12669ca19fbb362de26a83ae151933415ec464358c4dbe5573d63ca503ee5855",
     "gauss2": "94f755ce3695a33851eacab1d1e8b7e2eece21e18f3539a64f1f85e70349e990",
     "gauss3": "09f8b98e59b45f96f650e0c5c725c8de7cfa1cb4849e326c54a29d06b8406cea",
-    "cos100": "0fd891db319aa6c712a714be4ec75ebca59b90447bc371541691799f1726f6e9",
-    "cos30": "46744a22d7db5564cd25bacaa1952fa555494df70eeaab19a748fbac21b865dc",
+    "cos100": "9f28f70f112bbcac16d60ac3b7cc990cad0983d91233db9036c34a923e80bb2f",
+    "cos30": "a05c66fcea138e25557fef17381238b572afbe884533432197664e1d444614d5",
     "bspline1": "f2f1e638180e59b51ddf0d6c5544d83d19cd00437ae5e23f0a0e7be32e41a415",
     "bspline3": "d306bbba5752a9be44bb263309a447a0e125fd9eabe7730e2595b0ba20038971",
     "mult": "567c43a51f9222b4a394db87b8eb4311e97279a539042959de323fb73c7ea53c",
@@ -81,11 +81,11 @@ DIGESTS = {
     "cutoff3": "0394ac9c5ca52a9004111e078d7716fc44305b4e2293c0c9124c9f0a93102da5",
     "stitch": "109ab35d778dcb6b87a16361fe615d20d862e62e87b46a9669391aa2c1200e16",
     "smooth_general": "ec3228278e901e2272863da708c048cb5b9e68fefb95e7d22c1e25da4d2140f2",
-    "modulated_re": "4482ef5907a7af52f7a37a4fcc3f6835af9d1c83ffb63d671430c4e61505b176",
-    "modulated_im": "ea81da59639172644af6fd497959ec661610f44421f93260fd9e86fdb4e2a2c4",
-    "oscillatory": "e05a55443e851b5e96c1261b81117823c5c75c04ee59f0ff618593a429ba445c",
-    "par_shared": "f830bb8d0e720b976675a1ed17a35c8e205a9f951e8a2434d45646fef410c694",
-    "lincomb_shared": "c0d6726264e1c06d6775d43a9f08518d919ab7b1abfb5c91ad98530d7e50f22c",
+    "modulated_re": "6825350f23744dd004edaaae33aaf19fff2ea3adbd5d2f62569a7908cbc2ab8a",
+    "modulated_im": "c21fc23c54959ad386c6eff1e54d93e4856fbc5bff6a6533dc3021dca68b4c4a",
+    "oscillatory": "f2e8b26f3e3d01959d0be34465b9e83c41786be3547676d18e8517eefa60d4ae",
+    "par_shared": "78f80a1f083eeb05ce779452d40bfcf6b159c30654d4575bd9b5151c53d4fd7e",
+    "lincomb_shared": "f13a56724f246f5fb1e9799b65dbbc1c39f3ce7aeb89716e673c9723a050fd34",
     "lincomb_shared_d1": "eef6d9deabdc2804cfadb2b146264298f5fb9a85b756f3a1205ee4c9f08a8716",
     "haar_mother": "848583c20192eb46f92b792f22bcdba44307c86fd5443c53bd20e7ebd582148d",
     "haar_element": "5b3bec190b411c81bfb6423b3b43f5fa3d8a7c2f6ff632dbb40cb78901388eed",
@@ -109,8 +109,8 @@ def _outputs(net) -> bytes:
 OUTPUT_DIGESTS = {
     "bspline1": "af6dd3abe75e2afbc8ef1b8efa052438e09dc3c9110518a85620768468754b14",
     "bspline3": "1cbfd7141fa5be3b790faa16f8b1d29c939d5eb03345164a7c3e6fafa9ea5319",
-    "cos100": "d12a09910074d011edb22520fc00d4ac9bd1adda89d85d59907b3ed4dc20dc1e",
-    "cos30": "8d236676ee19247824513468f1812191a36f39979bb136ea29a1bae46829c795",
+    "cos100": "db15b92953aaf153915e2aa6407a307ba8a8c0f247d31b9d24d6abbc52043c8d",
+    "cos30": "26f261630c4f5d715ce64eb1283df35d723e5339987897855e658e3e456e8bf6",
     "cutoff1": "ffc1f5db1faa7b6402489b6c3c21711ad6cb122faa068ac9410c12ab126aa81e",
     "cutoff2": "552314bb22083642839cfe552768f0a1d95f724d2ad969f3451a7cb1cb5e120b",
     "cutoff3": "d5dded8d9883842660302cb3bdbcdd08fa99d9ad1d46e916b7b660ae13d4148e",
@@ -119,19 +119,19 @@ OUTPUT_DIGESTS = {
     "gauss3": "a87b9210a48d564cc8b7c390028f0cfd2c615de3cd1e7fccdb7cf52c71952534",
     "haar_element": "9234950a443d645e94a23c865352dd6a29c9c799a1f8822359a9206a5ed6401a",
     "haar_mother": "44cb30dbae9452244121398df5de9356bff144f56b6d54a9a47a4c8a330876d0",
-    "lincomb_shared": "28884a5441ca270232b112f0f478bb3e4633fb84bdbb2890f1721fadcc656084",
+    "lincomb_shared": "4e1ee8ed62459354eef9de58dfb09e967a6c196359b47f78562eebc8dae01987",
     "lincomb_shared_d1": "2030c175d58f023a1ffd8f150397b9a942af67ac1cc539a84137ec24ecc2e7b0",
-    "modulated_im": "472d4b7e05cd80d2451c740b40b06ab7bfa955dc7547c3ce7465e4f1a1dd5a67",
-    "modulated_re": "ef35c5d1d85323fbc0fc84f216736cd9909e5747e3969f97faaf25b281d2838a",
+    "modulated_im": "145f6252483102a03cf51879f3b1e355524d374a4505d0ea7b44f7ccc22bc785",
+    "modulated_re": "9a4651ff35e595246b4005c1706082598aeb8e0ed3b1f7f6f9eef30a7f5f11cb",
     "mult": "ef4969e9966fe0acb47710a28f0292028d8ea059c48522dba8c69b2cdecb349e",
     "multiply": "1515f39acc7f7b01ace561918db3e683527c553d229b0b13411b55fefa784199",
-    "oscillatory": "93669b94f8ef13daf334324cad5250cb120fa61d32b4073642f28a7a11a224e4",
-    "par_shared": "26de2699dbf95edfc22852d76134c4f94cb42ee904d77d10626ac4927fac4042",
+    "oscillatory": "a72d316b59c02776e562b2783ad02dce35e84facac4c32f4068aa1ff247dc557",
+    "par_shared": "09de8bc12890411eab01cc79a49fec7c5f3ef657c75a70421572bc684d6c53d5",
     "polynomial": "e150bafa33fed0ba31242ebe48b1ce975641d79d8b6982e88bbae95c63c405a1",
     "smooth_general": "7cfddcb68333d7216982db153153ad67eae930299a759901f57c9c7ec33e11fa",
     "stitch": "391fb46289cb8516d9cc5b63e1b643bf5716593d4c505b0d00eb1d7bb2f1738d",
     "wavelet2": "1e249a92cf0923fbf0d83df1d4f2ef7a896731d751c8b0b5f8d1498ec77da47f",
-    "weier": "77a7c521aea20705587fdde7990ad613c8e6849749fc4021baa1fc323e95afbf",
+    "weier": "3ae716e922a268cd08d5ccee5aaef021e916bbeb4838706cdfb6c45a6f9e4dd3",
 }
 
 
@@ -168,10 +168,10 @@ PWL_DIGESTS = {
     ("bspline1", (0.41, 0.425)): "90c51b5bc28aa4181c8344abac44803ca716e944920f38ce00ead1aca6faa99d",
     ("bspline3", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
     ("bspline3", (0.41, 0.425)): "7d9835fddd690f8d4c939e7802904fe6b2e585ac6dddd2e8863b9e93e5f25241",
-    ("cos100", (-0.3, -0.28)): "39817e19ef10ba3afec5f16f73a9d3f5d087cceeab75b773683c514f4d9cb3d9",
-    ("cos100", (0.41, 0.425)): "ed973739c3808ec67f45d0ffcb6c10d607679849dbf3e60faf19ebc9ae221a99",
-    ("cos30", (-0.3, -0.28)): "dc42385a9a641bc25b01d817dfd34361fceb4c8ea5174d06462af0574ded31f2",
-    ("cos30", (0.41, 0.425)): "ced1949e9e92e926fd630fdb46bb7887b6460da93d996bc205ad46ad187d922e",
+    ("cos100", (-0.3, -0.28)): "73a2e734aac79d48aa2d8dfbd28899e45b6db22327a74b19aa5c9f3a3cf28918",
+    ("cos100", (0.41, 0.425)): "13aac6e54f8ab2d56304711752521997aa5a37eea67f30fde1fb8eac11fa55a7",
+    ("cos30", (-0.3, -0.28)): "ddcb9f9e9d8c191c95437e2bd27fe26e1a09c02c7e8b9873a19b6c343774c21b",
+    ("cos30", (0.41, 0.425)): "b5081e3becab85fae9e86cc09340eafb842b1c91c361cce35127fbec21605214",
     ("cutoff1", (-0.3, -0.28)): "cc15ca7004cabc334bae1dfa3f7b43f885e56c0bfe4458bf7101d8a7b065e3e2",
     ("cutoff1", (0.41, 0.425)): "4fe3059cbe5d2421e852272be3480253911aa9c2816c0b0f40b461808314e266",
     ("gauss1", (-0.3, -0.28)): "74dea36db76246c58f010a4490203a1fbd4a73ee61703db67cfd5f829fcffc8b",
@@ -180,16 +180,16 @@ PWL_DIGESTS = {
     ("haar_element", (0.41, 0.425)): "66b2b2b7805a66bcc17647f84854bd24f0ef0b9038fe788b0c315db70b094f8d",
     ("haar_mother", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
     ("haar_mother", (0.41, 0.425)): "4fe3059cbe5d2421e852272be3480253911aa9c2816c0b0f40b461808314e266",
-    ("lincomb_shared", (-0.3, -0.28)): "5efb9913879d731be7b061be8b1d6436f6205dd6064d0b191c499011be2fa8c4",
-    ("lincomb_shared", (0.41, 0.425)): "afb74af4181df36c7ae9cad6f8794779f725c45e751f9f0463d054340159599c",
+    ("lincomb_shared", (-0.3, -0.28)): "6931f38b0648c1226b3911cf670464caad5525fcaf7098c76f45a7af6e2c31fd",
+    ("lincomb_shared", (0.41, 0.425)): "aeff933a3f77eaae1166ce9529a8e4a45005bc639dcac33cd0a8d8abfba2f0de",
     ("lincomb_shared_d1", (-0.3, -0.28)): "0fb2e3c6b93c450c54b3a1bddef5ef0f6a50865b0799d55fd67bc96f3cce7be1",
     ("lincomb_shared_d1", (0.41, 0.425)): "90adfb937b9c29980a6dc815cd5e4620f050c78846a88dd47e3a31f51187595a",
-    ("modulated_im", (-0.3, -0.28)): "f6960e7b064cd3e593fa316da3e7ef323f43759c497eb11391062e37473240fb",
-    ("modulated_im", (0.41, 0.425)): "87900e6b4e8a3bdb43b5dd7dcb2d0a15a64d7e3919745a5b9ff26d3d74e36ecb",
-    ("modulated_re", (-0.3, -0.28)): "48ca4526c2ac4bc258d3252bd7b9736252c6e20f8c35434e8e3447c83c3dd40e",
-    ("modulated_re", (0.41, 0.425)): "2ee194df73c36d8b188da4c53cd89741d4fe24be7f52050c35da6b04639450d0",
-    ("oscillatory", (-0.3, -0.28)): "c1fa697391bd1abe6447c7db4b1de5994c6b0fb2f8d62eb0a579a1152bd419fc",
-    ("oscillatory", (0.41, 0.425)): "4abe551cb26347e515ff140effa41528807d8f976a17cf71b810bc3638821721",
+    ("modulated_im", (-0.3, -0.28)): "7727dbbbd3d6782385fdccd45854de7df3535c694769e3da7178f21d37fbebb5",
+    ("modulated_im", (0.41, 0.425)): "32ece0fd1402abe9c1eb04fa0be1c24d849fd82a4813cc7d6a39b3c92341e820",
+    ("modulated_re", (-0.3, -0.28)): "3bd70fd44e7b72beb10d8ed19319fc46c87804a5af9c135639f4124a4d6dcecd",
+    ("modulated_re", (0.41, 0.425)): "a29e5fd3db805d02ffbf051cf5e05e42cb6c03e97c44798a095066d34e0d7c67",
+    ("oscillatory", (-0.3, -0.28)): "772d95a7129824be7fb0ec9daa72d934b1b9209959a195a097d011396bd59ab9",
+    ("oscillatory", (0.41, 0.425)): "dfa8e408e568b4e1f89cb205abffe74b4b2ee7b7d5e7372b8f94a61aa71484fe",
     ("polynomial", (-0.3, -0.28)): "c9983854c585c3a70ab27d4e17a42a5578304f81a75e271cac1280abf8d4096a",
     ("polynomial", (0.41, 0.425)): "00a3773de2b56f45f45603395bf341995b4bc8e67a284645a378eda90e4140e7",
     ("smooth_general", (-0.3, -0.28)): "68df4c705ed197adb48ac9b5d48b5b697589d6918fb9acac809949095f86c91f",
@@ -198,8 +198,8 @@ PWL_DIGESTS = {
     ("stitch", (0.41, 0.425)): "9be31335625a252ac1630b9a223877f1502c8d5367736c130ab1df6e51025881",
     ("wavelet2", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
     ("wavelet2", (0.41, 0.425)): "541767151ce7f09d3efb88e6cbd3d1cbaed7489429ad124c8a7ae48b00a55277",
-    ("weier", (-0.3, -0.28)): "4fc85425d481b390cea297730bd43af806c496008995905695933f41b5ba7b25",
-    ("weier", (0.41, 0.425)): "b1d1ee51ec077060169552499e786ed9a1a622bc88d0cff28f555b5e355790c8",
+    ("weier", (-0.3, -0.28)): "d4ec457036688b70f430c1faec675b6eb0897cd389fb1699e9a3333b421535f6",
+    ("weier", (0.41, 0.425)): "6c038420ca9ee7028bb73d5bc3ce14bf321b8838e49b02d47cc984a72b873495",
 }
 
 

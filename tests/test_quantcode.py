@@ -272,9 +272,9 @@ def test_quantize_error_law_on_constructors():
 CODEC_PINS = {
     "cos30": (
         lambda: cosine_network(30, 1, 1e-2),
-        3690,
-        "650f774bd6bbe1595bfcace68f783f8dadeeffda5f8854391affa08014e9711b",
-        "1d6c2afcab8df702e8d5289390e6444bd85e4aeb9c9c2951b70e370e534c5775",
+        1980,
+        "fd7d9491183093044a387dc648425b02f89339fc37a534f15c7e67c63d93f2cb",
+        "9c7fecaad0075bd528b3034c6409fb44ba3afcdae261c32c71771faa8a9c48ee",
     ),
     "bspline3": (
         lambda: bspline_network(3, 1e-3),

@@ -1,15 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
+    chebyshev_degree,
     cosine_network,
     cosine_shifted_network,
+    interpolation_degree,
     sawtooth_network,
     sine_network,
+    weierstrass_network,
 )
+from relucalc.constructors.trig import _COS_SCALE, _COSINE_CORE, _cosine_tail_bound
 
 from conftest import grid_eval
 
@@ -95,3 +100,60 @@ def test_sine_network():
     net = sine_network(2.0, 1.0, 1e-2)
     xs = np.linspace(-1, 1, 2001)
     assert np.max(np.abs(grid_eval(net, xs) - np.sin(2.0 * xs))) <= 1e-2
+
+
+# --- degree of the cosine core --------------------------------------------------------
+
+
+def test_cosine_tail_bound_dominates_the_bessel_tail():
+    # 4 (6/pi^3) sum_{k>n, k even} |J_k(pi)|, J_k(pi) from its power series
+    def bessel(k):
+        return sum(
+            (-1) ** j * (math.pi / 2.0) ** (2 * j + k)
+            / (math.factorial(j) * math.factorial(j + k))
+            for j in range(40)
+        )
+
+    for n in range(0, 24):
+        tail = sum(abs(bessel(k)) for k in range(n + 1, 60) if k % 2 == 0)
+        assert 4.0 * _COS_SCALE * tail <= _cosine_tail_bound(n)
+
+
+@pytest.mark.parametrize(
+    "eps", [0.49, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14]
+)
+def test_cosine_degree_is_the_least_that_meets_the_tail_bound(eps):
+    core_eps = _COS_SCALE * eps
+    n = chebyshev_degree(_COSINE_CORE, core_eps)
+    assert _cosine_tail_bound(n) <= core_eps / 2.0
+    assert _cosine_tail_bound(n - 2) > core_eps / 2.0
+    assert n <= interpolation_degree(core_eps)
+
+
+@pytest.mark.parametrize(
+    "eps, degree", [(1e-2, 6), (1e-4, 10), (1e-8, 14), (1e-12, 18)]
+)
+def test_cosine_degrees(eps, degree):
+    assert chebyshev_degree(_COSINE_CORE, _COS_SCALE * eps) == degree
+
+
+@pytest.mark.parametrize(
+    "build, connectivity",
+    [
+        (lambda: cosine_network(30, 1, 1e-2), 1587),
+        (lambda: cosine_network(100, 1, 1e-2), 1616),
+        (lambda: weierstrass_network(0.4, 3, 1, 1e-1), 12242),
+    ],
+    ids=["cos30", "cos100", "weier"],
+)
+def test_cosine_builds_keep_their_size(build, connectivity):
+    assert metrics(build()).connectivity == connectivity
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-12])
+def test_cosine_high_accuracy(eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net = cosine_network(1.0, 1.0, eps)
+    xs = np.linspace(-1, 1, 200_001)
+    assert np.max(np.abs(grid_eval(net, xs) - np.cos(xs))) <= eps
