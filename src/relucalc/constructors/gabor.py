@@ -94,7 +94,51 @@ def _clamp_above(threshold: float) -> ReluNetwork:
 
 def _gaussian_radius(eps: float) -> int:
     """R such that gaussian_network is exactly zero outside [-R-1, R+1]^dim."""
-    return max(1, math.ceil(math.log2(1.0 / eps)))
+    ratio = 1.0 / eps
+    if not math.isfinite(ratio):
+        raise ValueError(f"eps = {eps} is too small: 1/eps exceeds the float range")
+    return max(1, math.ceil(math.log2(ratio)))
+
+
+def _exp_tail_bound(h: float, n: int) -> float:
+    """Upper bound on sup |f - p_n| on [0, 2h] for f(y) = exp(-y) and p_n its
+    interpolant at the n + 1 first-kind Chebyshev points of [0, 2h].
+
+    Pulled back by y = h + h t, f is exp(-h - h t), whose Chebyshev
+    coefficients are a_k = 2 e^-h (-1)^k I_k(h) for k >= 1 (the generating
+    function of the modified Bessel functions, DLMF 10.35.3).  Aliasing gives
+    sup |f - p_n| <= 2 sum_{k>n} |a_k| (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 4), and the power series, with
+    (j + k)! >= k! (k + 1)^j, gives I_k(h) <= (h/2)^k / k! exp(h^2 / (4 (k+1))),
+    so
+
+        sup |f - p_n| <= 4 e^-h sum_{k>n} (h/2)^k / k! exp(h^2 / (4 (k+1))).
+
+    Successive terms shrink by at least h / (2 (k + 1)), a ratio that falls
+    with k, so the sum is at most its first term (k = n + 1) over
+    1 - h / (2 (k + 1)); the bound is infinite while that ratio is at least 1.
+    The first term is taken through lgamma; once the ratio is below 1 its
+    exponent is at most 0, so it cannot overflow.
+    """
+    k = n + 1
+    ratio = h / (2.0 * (k + 1))
+    if ratio >= 1.0:
+        return math.inf
+    log_first = (
+        -h + k * math.log(h / 2.0) - math.lgamma(k + 1) + h * h / (4.0 * (k + 1))
+    )
+    return 4.0 * math.exp(log_first) / (1.0 - ratio)
+
+
+def _exp_decay(clamp_at: float) -> SmoothDescriptor:
+    """exp(-y) on [0, clamp_at + 1], with the tail bound of _exp_tail_bound."""
+    half_length = 0.5 * (clamp_at + 1.0)
+    return SmoothDescriptor(
+        lambda y: math.exp(-y),
+        (0.0, clamp_at + 1.0),
+        "exp decay",
+        tail_bound=lambda n: _exp_tail_bound(half_length, n),
+    )
 
 
 def gaussian_network(dim: int, eps: float) -> ReluNetwork:
@@ -105,12 +149,34 @@ def gaussian_network(dim: int, eps: float) -> ReluNetwork:
     exponential stage on a short interval.  A cutoff factor forces exact zero
     outside [-R-1, R+1]^dim where R is the integer ceiling of log2(1/eps),
     beyond which the Gaussian itself is below eps.
+
+    exp(-y) on [0, 2h], 2h = clamp + 1, is one Chebyshev cell.  Its degree is
+    the least n whose tail bound, which dominates the interpolation error
+    4 e^-h sum_{k>n} I_k(h) (see _exp_tail_bound),
+
+        4 e^-h (h/2)^m / m! exp(h^2 / (4 (m + 1))) / (1 - h / (2 (m + 1))),
+        m = n + 1,
+
+    is at most eps/8, half of the exponential stage's share.  An eps below
+    16 dim (R+1)^2 2^-52, the squaring stage's rounding floor, is refused
+    with ValueError.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     _check_eps(eps)
     radius = _gaussian_radius(eps)
     outer = radius + 1.0
+    # Each square is outer^2 times a value the multiplier computes in
+    # [-1, 1], so it carries rounding of order outer^2 2^-52; once that
+    # rounding dominates, the grid error has measured under
+    # 5 dim outer^2 2^-52.  Refusing eps below 16 dim outer^2 2^-52 keeps
+    # it under a third of eps.
+    floor = 16.0 * dim * outer ** 2 * 2.0 ** -52
+    if eps < floor:
+        raise ValueError(
+            f"eps = {eps} is below the rounding floor {floor:.3g} of the "
+            f"squaring stage on [-{outer:g}, {outer:g}]^{dim}"
+        )
 
     budget = eps / 4.0
     ident = identity_network(1)
@@ -119,10 +185,8 @@ def gaussian_network(dim: int, eps: float) -> ReluNetwork:
     clamp_at = float(math.ceil(math.log(4.0 / eps)) + 1)
     clamped = compose(_clamp_above(clamp_at), append_relu(sum_squares))
 
-    decay = SmoothDescriptor(
-        lambda yv: math.exp(-yv), (0.0, clamp_at + 1.0), "exp decay"
-    )
-    envelope = compose(smooth_network_general(decay, budget), clamped)
+    exponential = smooth_network_general(_exp_decay(clamp_at), budget)
+    envelope = compose(exponential, clamped)
 
     gate, amp = _plateau_gate(-float(radius), float(radius), 1.0, dim)
     return _product(envelope, gate, 2.0, budget, amp)

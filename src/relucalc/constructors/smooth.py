@@ -4,9 +4,9 @@ hat-partition stitching that extends them to arbitrary intervals.
 A function qualifies when its n-th derivative is bounded by n! on the
 interval; this cannot be checked mechanically and is recorded as a trust
 precondition on SmoothDescriptor, with a coefficient-decay heuristic as a
-guard.  A descriptor may also carry a closed-form bound on its interpolation
-error, which lets smooth_network use a lower degree than the class's worst
-case.
+guard.  A descriptor may instead carry a closed-form bound on its
+interpolation error, which sets the degree directly and lets one Chebyshev
+cell cover an interval of any length.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ WARN_DEGREE = 25
 
 @dataclass(frozen=True)
 class SmoothDescriptor:
-    """A scalar function on an interval, trusted to have n-th derivatives
-    bounded by n! there.
+    """A scalar function on an interval [a, b], trusted to have n-th
+    derivatives bounded by n! there unless it carries a tail bound.
 
     tail_bound, when given, maps a degree n to an upper bound on
-    sup |f - p_n| over [-1, 1], where p_n interpolates f at the n + 1
-    first-kind Chebyshev points."""
+    sup |f - p_n| over [a, b], where p_n interpolates f at the n + 1
+    first-kind Chebyshev points of [a, b].  It replaces the n! trust
+    precondition: the degree comes from the bound alone, and the interval
+    may have any length."""
 
     evaluator: Callable[[float], float]
     interval: tuple[float, float]
@@ -127,27 +129,41 @@ def chebyshev_expand(f: SmoothDescriptor, m: int) -> ChebyshevExpansion:
 def interpolation_degree(eps: float) -> int:
     """Chebyshev degree that meets tolerance eps for every trusted-smooth f."""
     _check_eps(eps)
-    return math.ceil(math.log2(2.0 / eps))
+    ratio = 2.0 / eps
+    if not math.isfinite(ratio):
+        raise ValueError(f"eps = {eps} is too small: 2/eps exceeds the float range")
+    return math.ceil(math.log2(ratio))
 
 
 def chebyshev_degree(f: SmoothDescriptor, eps: float) -> int:
     """Degree smooth_network uses for f at tolerance eps: the smallest
-    n <= interpolation_degree(eps) with f.tail_bound(n) <= eps/2, and
-    interpolation_degree(eps) itself when f has no tail bound."""
-    cap = interpolation_degree(eps)
+    n <= MAX_DEGREE with f.tail_bound(n) <= eps/2, and
+    interpolation_degree(eps) when f has no tail bound.
+
+    A tail bound that stays above eps/2 up to MAX_DEGREE is a ValueError,
+    not a fallback to the paper's degree, which is certified only for the
+    n!-bounded class."""
     if f.tail_bound is None:
-        return cap
-    return next((n for n in range(cap) if f.tail_bound(n) <= eps / 2.0), cap)
+        return interpolation_degree(eps)
+    _check_eps(eps)
+    for n in range(MAX_DEGREE + 1):
+        if f.tail_bound(n) <= eps / 2.0:
+            return n
+    raise ValueError(
+        f"no degree up to {MAX_DEGREE} meets eps = {eps} for '{f.label}': "
+        "its tail bound stays above eps/2"
+    )
 
 
 def smooth_network(f: SmoothDescriptor, eps: float) -> ReluNetwork:
-    """Approximate a trusted-smooth f on [-1, 1] within eps via its Chebyshev
-    interpolant realized as a polynomial network; width at most 9.  Half of
-    eps goes to the interpolation error, half to the polynomial network."""
+    """Approximate f on [-1, 1] within eps via its Chebyshev interpolant
+    realized as a polynomial network; width at most 9.  f is trusted-smooth
+    or carries a tail bound.  Half of eps goes to the interpolation error,
+    half to the polynomial network."""
     m = chebyshev_degree(f, eps)
     expansion = chebyshev_expand(f, m)
     guard = max(abs(c) for c in expansion.coeffs)
-    if guard > 2.0 + 1e-6:
+    if f.tail_bound is None and guard > 2.0 + 1e-6:
         warnings.warn(
             f"Chebyshev coefficients reach {guard:g}; "
             f"'{f.label}' may violate the smoothness precondition",
@@ -211,28 +227,32 @@ def stitch_networks(
 
 
 def smooth_network_general(f: SmoothDescriptor, eps: float) -> ReluNetwork:
-    """Approximate a trusted-smooth f on its interval [a, b] within eps.
+    """Approximate f on its interval [a, b] within eps.
 
-    Intervals no longer than 2 are handled by centering and rescaling into
-    [-1, 1]; longer intervals are split into unit-length cells whose local
-    networks are stitched with the hat partition.
+    A descriptor with a tail bound, and any interval no longer than 2, is
+    handled by centering and rescaling into [-1, 1]; a trusted-smooth f on a
+    longer interval is split into unit-length cells whose local networks are
+    stitched with the hat partition.
     """
     _check_eps(eps)
     a, b = f.interval
 
     def local_net(lo: float, hi: float, tol: float) -> ReluNetwork:
-        # recentre [lo, hi] onto [-1, 1]; the half-width is at most 1, so the
-        # pullback stays inside the trusted smoothness class
+        # recentre [lo, hi] onto [-1, 1].  Without a tail bound the
+        # half-width is at most 1, so the pullback stays inside the trusted
+        # smoothness class; a tail bound covers [lo, hi] = [a, b] and holds
+        # unchanged for the pullback, since interpolation commutes with the
+        # affine map
         c = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
         pulled = SmoothDescriptor(
-            lambda y: f.evaluator(c + h * y), (-1.0, 1.0), f.label
+            lambda y: f.evaluator(c + h * y), (-1.0, 1.0), f.label, f.tail_bound
         )
         core = smooth_network(pulled, tol)
         shift = affine_network([[1.0 / h]], [-c / h])
         return compose(core, shift)
 
-    if b - a <= 2.0:
+    if f.tail_bound is not None or b - a <= 2.0:
         return local_net(a, b, eps)
     n = math.ceil(b - a)
     knots = [a + i * (b - a) / n for i in range(n + 1)]

@@ -42,6 +42,24 @@ def test_build_cosine_at_high_accuracy(capsys):
     assert stdout.splitlines()[1].startswith("cosine,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "cosine", "--eps", "1e-320"],
+        ["build", "gaussian", "--m", "1", "--eps", "1e-320"],
+        ["build", "gaussian", "--m", "1", "--eps", "1e-12"],
+    ],
+)
+def test_build_at_unreachable_eps_exits_2_naming_eps(capsys, argv):
+    # past the float range, or (the Gaussian at 1e-12) below the rounding
+    # floor of its squaring stage
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "eps = " in stderr
+
+
 def test_build_unknown_constructor(capsys):
     code, _, stderr = run_cli(capsys, "build", "nosuch")
     assert code == 2

@@ -66,9 +66,9 @@ BUILDS = {
 DIGESTS = {
     "weier": "c97723238121b095b7afe51d8bbf02cac4a47ec05a01ce69d632082814906dcc",
     "polynomial": "60202cb5037d3f5dfa4f391b41a1578c7a104efac42565b3171bcb7802548880",
-    "gauss1": "12669ca19fbb362de26a83ae151933415ec464358c4dbe5573d63ca503ee5855",
-    "gauss2": "94f755ce3695a33851eacab1d1e8b7e2eece21e18f3539a64f1f85e70349e990",
-    "gauss3": "09f8b98e59b45f96f650e0c5c725c8de7cfa1cb4849e326c54a29d06b8406cea",
+    "gauss1": "d40497b712ce679d262a711a52b0d5f8cf6e026db9681da6030c23a748bf45e9",
+    "gauss2": "8fae9cbf025e9df37f49ef277c15df593209ea710aab2f90f56d1bb9e712c95a",
+    "gauss3": "69f3786fcae27e2327f7aa3375bf3282ef055455eeb0eebf58f24c65feba86e5",
     "cos100": "9f28f70f112bbcac16d60ac3b7cc990cad0983d91233db9036c34a923e80bb2f",
     "cos30": "a05c66fcea138e25557fef17381238b572afbe884533432197664e1d444614d5",
     "bspline1": "f2f1e638180e59b51ddf0d6c5544d83d19cd00437ae5e23f0a0e7be32e41a415",
@@ -81,8 +81,8 @@ DIGESTS = {
     "cutoff3": "0394ac9c5ca52a9004111e078d7716fc44305b4e2293c0c9124c9f0a93102da5",
     "stitch": "109ab35d778dcb6b87a16361fe615d20d862e62e87b46a9669391aa2c1200e16",
     "smooth_general": "ec3228278e901e2272863da708c048cb5b9e68fefb95e7d22c1e25da4d2140f2",
-    "modulated_re": "6825350f23744dd004edaaae33aaf19fff2ea3adbd5d2f62569a7908cbc2ab8a",
-    "modulated_im": "c21fc23c54959ad386c6eff1e54d93e4856fbc5bff6a6533dc3021dca68b4c4a",
+    "modulated_re": "02830f1cdac0411c761ebcebe72d790839ba2fb922d95aaf77cdd01915b72110",
+    "modulated_im": "e07769a6cc082d264e6c082d62ecdd5c40f851a0a5380a604a972923a718383e",
     "oscillatory": "f2e8b26f3e3d01959d0be34465b9e83c41786be3547676d18e8517eefa60d4ae",
     "par_shared": "78f80a1f083eeb05ce779452d40bfcf6b159c30654d4575bd9b5151c53d4fd7e",
     "lincomb_shared": "f13a56724f246f5fb1e9799b65dbbc1c39f3ce7aeb89716e673c9723a050fd34",
@@ -114,15 +114,15 @@ OUTPUT_DIGESTS = {
     "cutoff1": "ffc1f5db1faa7b6402489b6c3c21711ad6cb122faa068ac9410c12ab126aa81e",
     "cutoff2": "552314bb22083642839cfe552768f0a1d95f724d2ad969f3451a7cb1cb5e120b",
     "cutoff3": "d5dded8d9883842660302cb3bdbcdd08fa99d9ad1d46e916b7b660ae13d4148e",
-    "gauss1": "e81a9c2b167122b1f4ee17d5a04cdb7a3d5f82cad7606b6714cb4c7a26c3ae1d",
-    "gauss2": "9e7d32a172f50b80cb496234e24b3501920ad76d160c67f23dfaf8b82ec977ad",
-    "gauss3": "a87b9210a48d564cc8b7c390028f0cfd2c615de3cd1e7fccdb7cf52c71952534",
+    "gauss1": "94c68c11e8eee262c59bcc7116bb211f7e44633e9c87e1d1916dbf5276da48c2",
+    "gauss2": "a0c6ac871ada884c6064015738d81af59f493b97be06f3d92f5fbace50af9276",
+    "gauss3": "5b5d448a12a528e050cb2a99a1f228b29f444b4757125d68b625b017710594e3",
     "haar_element": "9234950a443d645e94a23c865352dd6a29c9c799a1f8822359a9206a5ed6401a",
     "haar_mother": "44cb30dbae9452244121398df5de9356bff144f56b6d54a9a47a4c8a330876d0",
     "lincomb_shared": "4e1ee8ed62459354eef9de58dfb09e967a6c196359b47f78562eebc8dae01987",
     "lincomb_shared_d1": "2030c175d58f023a1ffd8f150397b9a942af67ac1cc539a84137ec24ecc2e7b0",
-    "modulated_im": "145f6252483102a03cf51879f3b1e355524d374a4505d0ea7b44f7ccc22bc785",
-    "modulated_re": "9a4651ff35e595246b4005c1706082598aeb8e0ed3b1f7f6f9eef30a7f5f11cb",
+    "modulated_im": "eee1789652a044c3ae5c8caa96238f847c29e4a2b4971b1ae5c6148af1431a0b",
+    "modulated_re": "744d45be8d605684e73377378a32beb61980794d657f79b5b6f36c8cbec9046c",
     "mult": "ef4969e9966fe0acb47710a28f0292028d8ea059c48522dba8c69b2cdecb349e",
     "multiply": "1515f39acc7f7b01ace561918db3e683527c553d229b0b13411b55fefa784199",
     "oscillatory": "a72d316b59c02776e562b2783ad02dce35e84facac4c32f4068aa1ff247dc557",
@@ -174,8 +174,8 @@ PWL_DIGESTS = {
     ("cos30", (0.41, 0.425)): "b5081e3becab85fae9e86cc09340eafb842b1c91c361cce35127fbec21605214",
     ("cutoff1", (-0.3, -0.28)): "cc15ca7004cabc334bae1dfa3f7b43f885e56c0bfe4458bf7101d8a7b065e3e2",
     ("cutoff1", (0.41, 0.425)): "4fe3059cbe5d2421e852272be3480253911aa9c2816c0b0f40b461808314e266",
-    ("gauss1", (-0.3, -0.28)): "74dea36db76246c58f010a4490203a1fbd4a73ee61703db67cfd5f829fcffc8b",
-    ("gauss1", (0.41, 0.425)): "0c125cc1c51f3ec7ddce6e959ec505b9b54beaab406619bd79670576ed85d3dd",
+    ("gauss1", (-0.3, -0.28)): "c0ec978b3573096d9410566073876b72a49d0a23499e25d8e96d76ac895ec30e",
+    ("gauss1", (0.41, 0.425)): "0dc61f9be9f7ce7b30707cbf5fbde96af1e0a6f1274ef599e0fec204194e4cfd",
     ("haar_element", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
     ("haar_element", (0.41, 0.425)): "66b2b2b7805a66bcc17647f84854bd24f0ef0b9038fe788b0c315db70b094f8d",
     ("haar_mother", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
@@ -184,10 +184,10 @@ PWL_DIGESTS = {
     ("lincomb_shared", (0.41, 0.425)): "aeff933a3f77eaae1166ce9529a8e4a45005bc639dcac33cd0a8d8abfba2f0de",
     ("lincomb_shared_d1", (-0.3, -0.28)): "0fb2e3c6b93c450c54b3a1bddef5ef0f6a50865b0799d55fd67bc96f3cce7be1",
     ("lincomb_shared_d1", (0.41, 0.425)): "90adfb937b9c29980a6dc815cd5e4620f050c78846a88dd47e3a31f51187595a",
-    ("modulated_im", (-0.3, -0.28)): "7727dbbbd3d6782385fdccd45854de7df3535c694769e3da7178f21d37fbebb5",
-    ("modulated_im", (0.41, 0.425)): "32ece0fd1402abe9c1eb04fa0be1c24d849fd82a4813cc7d6a39b3c92341e820",
-    ("modulated_re", (-0.3, -0.28)): "3bd70fd44e7b72beb10d8ed19319fc46c87804a5af9c135639f4124a4d6dcecd",
-    ("modulated_re", (0.41, 0.425)): "a29e5fd3db805d02ffbf051cf5e05e42cb6c03e97c44798a095066d34e0d7c67",
+    ("modulated_im", (-0.3, -0.28)): "184f80fe8d348de0b07b1787eeaa0ce86574b6bf9947bb30f50f8eb848b92c06",
+    ("modulated_im", (0.41, 0.425)): "f9de035fb0434e3158d22d612dc33362a6d7b54462929d1b95d86e19d97afdc2",
+    ("modulated_re", (-0.3, -0.28)): "e26d5f3ca80891e5f90977d76ef95c98dabc5392d8f0da7bf0d2e3853aafcc36",
+    ("modulated_re", (0.41, 0.425)): "90756841bb20adb83a8abfbb4af82a5a5e0ee4a1336b086df0532ed7d6b7df84",
     ("oscillatory", (-0.3, -0.28)): "772d95a7129824be7fb0ec9daa72d934b1b9209959a195a097d011396bd59ab9",
     ("oscillatory", (0.41, 0.425)): "dfa8e408e568b4e1f89cb205abffe74b4b2ee7b7d5e7372b8f94a61aa71484fe",
     ("polynomial", (-0.3, -0.28)): "c9983854c585c3a70ab27d4e17a42a5578304f81a75e271cac1280abf8d4096a",

@@ -1,14 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
+    chebyshev_degree,
     cutoff_network,
     gaussian_network,
     modulated_network,
 )
+from relucalc.constructors.gabor import _exp_decay, _exp_tail_bound, _gaussian_radius
+from relucalc.constructors.smooth import MAX_DEGREE
 from relucalc.constructors.splines import _plateau_gate
 
 from conftest import grid_eval
@@ -149,3 +153,58 @@ def test_gaussian_2d_value():
 def test_gaussian_magnitude():
     assert metrics(gaussian_network(1, 1e-2)).weight_magnitude <= 1.0
     assert metrics(gaussian_network(2, 5e-2)).weight_magnitude <= 1.0
+
+
+# --- the exponential stage's degree -------------------------------------------------
+
+BOUND_EPS = [10.0 ** -e for e in range(1, 11)]
+
+
+def _clamp(eps):
+    # gaussian_network clamps the squared radius at ceil(log(4/eps)) + 1
+    return float(math.ceil(math.log(4.0 / eps)) + 1)
+
+
+def test_exp_tail_bound_dominates_the_bessel_tail():
+    # 4 e^-h sum_{k>n} I_k(h), with ive(k, h) = e^-h I_k(h)
+    from scipy.special import ive
+
+    for h in sorted({0.5 * (_clamp(eps) + 1.0) for eps in BOUND_EPS}):
+        for n in range(0, 41):
+            tail = 4.0 * ive(np.arange(n + 1, n + 200), h).sum()
+            assert tail <= _exp_tail_bound(h, n), (h, n)
+
+
+@pytest.mark.parametrize("eps", BOUND_EPS)
+def test_exp_degree_is_the_least_that_meets_the_tail_bound(eps):
+    # the exponential stage runs at eps/4, half of it for interpolation
+    decay = _exp_decay(_clamp(eps))
+    n = chebyshev_degree(decay, eps / 4.0)
+    assert n <= MAX_DEGREE
+    assert decay.tail_bound(n) <= eps / 8.0
+    assert decay.tail_bound(n - 1) > eps / 8.0
+
+
+@pytest.mark.parametrize(
+    "dim, eps, depth, connectivity",
+    [(1, 1e-1, 102, 1482), (2, 1e-1, 102, 1667), (3, 2e-1, 83, 1511)],
+    ids=["gauss1", "gauss2", "gauss3"],
+)
+def test_gaussian_builds_keep_their_size(dim, eps, depth, connectivity):
+    m = metrics(gaussian_network(dim, eps))
+    assert (m.depth, m.connectivity) == (depth, connectivity)
+
+
+@pytest.mark.parametrize("eps", [10.0 ** -e for e in range(1, 13)])
+def test_gaussian_is_within_eps_or_refused(eps):
+    # degrees past 25 warn about the monomial conversion; the grid decides
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            net = gaussian_network(1, eps)
+        except ValueError as err:
+            assert eps < 1e-10 and "rounding floor" in str(err)
+            return
+    radius = _gaussian_radius(eps)
+    xs = np.linspace(-radius - 2.0, radius + 2.0, 40001)
+    assert np.max(np.abs(grid_eval(net, xs) - np.exp(-(xs ** 2)))) <= eps

@@ -6,6 +6,7 @@ import pytest
 from relucalc import AffineLayer, ReluNetwork, metrics, network, reduce_weights
 from relucalc.constructors import (
     SmoothDescriptor,
+    chebyshev_degree,
     chebyshev_expand,
     chebyshev_nodes,
     chebyshev_to_monomial,
@@ -15,6 +16,7 @@ from relucalc.constructors import (
     smooth_network_general,
     stitch_networks,
 )
+from relucalc.constructors.gabor import _exp_decay
 
 from conftest import grid_eval
 
@@ -98,6 +100,19 @@ def test_descriptor_rejects_empty_or_infinite_interval(interval):
 
 def test_interpolation_degree():
     assert interpolation_degree(1e-3) == 11
+
+
+def test_interpolation_degree_refuses_eps_past_the_float_range():
+    with pytest.raises(ValueError, match="eps = 1e-320"):
+        interpolation_degree(1e-320)
+
+
+def test_tail_bound_that_never_meets_eps_is_refused():
+    # no fallback to the paper's degree, which holds only for the n! class
+    f = SmoothDescriptor(lambda x: x, (-1.0, 1.0), "stubborn", lambda n: 1e-3)
+    assert chebyshev_degree(f, 1e-2) == 0
+    with pytest.raises(ValueError, match="eps = 0.001 for 'stubborn'"):
+        chebyshev_degree(f, 1e-3)
 
 
 def test_smooth_network_error():
@@ -243,6 +258,19 @@ def test_general_interval_exponential():
     assert err.max() <= eps
     m = metrics(net)
     assert m.width <= 16
+    assert m.weight_magnitude <= 1.0
+
+
+def test_general_interval_with_tail_bound_is_one_cell():
+    # exp(-y) on [0, 9] with its Bessel tail bound, as gaussian_network uses it
+    f = _exp_decay(8.0)
+    eps = 1e-2
+    net = smooth_network_general(f, eps)
+    xs = np.linspace(0.0, 9.0, 8001)
+    assert np.max(np.abs(grid_eval(net, xs) - np.exp(-xs))) <= eps
+    m = metrics(net)
+    # one polynomial network, where the unit cells' hat products reach 16
+    assert m.width <= 9
     assert m.weight_magnitude <= 1.0
 
 
