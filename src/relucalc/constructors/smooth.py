@@ -31,6 +31,10 @@ MAX_DEGREE = 40
 WARN_DEGREE = 25
 
 
+class ToleranceError(ValueError):
+    """A tolerance below what a construction can certify."""
+
+
 @dataclass(frozen=True)
 class SmoothDescriptor:
     """A scalar function on an interval [a, b], trusted to have n-th
@@ -140,7 +144,7 @@ def chebyshev_degree(f: SmoothDescriptor, eps: float) -> int:
     n <= MAX_DEGREE with f.tail_bound(n) <= eps/2, and
     interpolation_degree(eps) when f has no tail bound.
 
-    A tail bound that stays above eps/2 up to MAX_DEGREE is a ValueError,
+    A tail bound that stays above eps/2 up to MAX_DEGREE is a ToleranceError,
     not a fallback to the paper's degree, which is certified only for the
     n!-bounded class."""
     if f.tail_bound is None:
@@ -149,7 +153,7 @@ def chebyshev_degree(f: SmoothDescriptor, eps: float) -> int:
     for n in range(MAX_DEGREE + 1):
         if f.tail_bound(n) <= eps / 2.0:
             return n
-    raise ValueError(
+    raise ToleranceError(
         f"no degree up to {MAX_DEGREE} meets eps = {eps} for '{f.label}': "
         "its tail bound stays above eps/2"
     )

@@ -5,11 +5,12 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from ..calculus import compose, scale_output, sum_finite_width
 from ..core import ReluNetwork, _check_eps
 from .algebra import _product
-from .smooth import SmoothDescriptor, smooth_network_general
+from .smooth import SmoothDescriptor, ToleranceError, smooth_network_general
 from .trig import cosine_network
 
 
@@ -50,9 +51,30 @@ def weierstrass_reference(p: float, a: float, x, terms: int = 60) -> float:
 
 
 def weierstrass_terms(eps: float) -> int:
-    """Number of series terms kept for tolerance eps (tail below eps/2)."""
+    """The paper's p-free term count ceil(log2(2/eps)): the least K with
+    2^-K <= eps/2, so the tail sum_{k>K} p^k < 2^-K stays below eps/2 for
+    every p < 1/2.  It is read off eps's binary exponent, so it is exact, and
+    it is the upper bound on the K of weierstrass_network."""
     _check_eps(eps)
-    return math.ceil(math.log2(2.0 / eps))
+    return 2 - math.frexp(eps)[1]
+
+
+def _weierstrass_tolerances(p: float, eps: float) -> list[float]:
+    """The tolerances eps_0, ..., eps_K of weierstrass_network's terms, by
+    the two rules its docstring states.  K is searched in exact rationals up
+    to weierstrass_terms(eps), which always meets the tail rule; the equal
+    share eps / (2 (K + 1)) is shrunk by 2^-40 so that the rounding of p^k
+    cannot lift sum_k p^k eps_k above eps/2."""
+    q, half = Fraction(p), Fraction(eps) / 2
+    tail = q / (1 - q)  # p^(K+1) / (1 - p) at K = 0
+    for last in range(weierstrass_terms(eps) + 1):
+        if tail <= half:
+            break
+        tail *= q
+    share = eps / (2 * (last + 1)) * (1.0 - 2.0 ** -40)
+    if share == 0.0:  # eps a few subnormal units: no term could be built
+        raise ToleranceError(f"the share of eps = {eps} underflows")
+    return [min(0.49, share / p ** k) for k in range(last + 1)]
 
 
 def weierstrass_network(
@@ -60,9 +82,12 @@ def weierstrass_network(
 ) -> ReluNetwork:
     """Approximate sum_k p^k cos(a^k pi x) on [-D, D] within eps.
 
-    The truncated series is a finite-width sum: the terms p^k cos(a^k pi x),
-    each within eps/4, run one after another while the input and the running
-    sum ride along, so width stays at 13 and weights at 1.
+    The series is cut after the least K with p^(K+1) / (1 - p) <= eps/2, and
+    term k is built within eps_k = min(0.49, eps / (2 (K + 1) p^k)), so the
+    terms' errors, scaled by p^k, sum to at most eps/2 and with the tail the
+    total stays within eps (see _weierstrass_tolerances).  The terms run one
+    after another while the input and the running sum ride along, so width
+    stays at 13 and weights at 1.
     """
     if not 0.0 < p < 0.5:
         raise ValueError(f"decay factor must lie in (0, 1/2), got {p}")
@@ -70,9 +95,14 @@ def weierstrass_network(
         raise ValueError("frequency base must be positive")
     _check_eps(eps)
     d = float(half_width)
-    return sum_finite_width(
-        [
-            scale_output(cosine_network(a ** k * math.pi, d, eps / 4.0), p ** k)
-            for k in range(weierstrass_terms(eps) + 1)
+    try:
+        terms = [
+            scale_output(cosine_network(a ** k * math.pi, d, eps_k), p ** k)
+            for k, eps_k in enumerate(_weierstrass_tolerances(p, eps))
         ]
-    )
+    except ToleranceError:
+        raise ToleranceError(
+            f"no Weierstrass network meets eps = {eps}: its terms need "
+            "cosines below the cosine core's reach"
+        ) from None
+    return sum_finite_width(terms)

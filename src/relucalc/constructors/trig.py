@@ -18,7 +18,7 @@ from ..calculus import (
 )
 from ..core import AffineLayer, ReluNetwork, _check_eps
 from .algebra import sawtooth_network
-from .smooth import SmoothDescriptor, smooth_network
+from .smooth import MAX_DEGREE, SmoothDescriptor, ToleranceError, smooth_network
 
 # 6/pi^3 scales the cosine into the trusted smoothness class: the n-th
 # derivative of (6/pi^3) cos(pi x) is bounded by 6 pi^(n-3) <= n!.
@@ -67,7 +67,13 @@ def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
     # Fold [-D, D] onto [-1, 1]; for D < 1 the unit-interval network already
     # covers the domain.
     a_eff = a * d if d > 1.0 else a
-    core = smooth_network(_COSINE_CORE, _COS_SCALE * eps)
+    try:
+        core = smooth_network(_COSINE_CORE, _COS_SCALE * eps)
+    except ToleranceError:
+        # the core runs at 6/pi^3 eps; the refusal names the caller's eps
+        raise ToleranceError(
+            f"no cosine core degree up to {MAX_DEGREE} meets eps = {eps}"
+        ) from None
     if a_eff > math.pi:
         try:
             s = math.ceil(math.log2(a_eff) - math.log2(math.pi))

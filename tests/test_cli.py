@@ -48,16 +48,21 @@ def test_build_cosine_at_high_accuracy(capsys):
         ["build", "cosine", "--eps", "1e-320"],
         ["build", "gaussian", "--m", "1", "--eps", "1e-320"],
         ["build", "gaussian", "--m", "1", "--eps", "1e-12"],
+        ["build", "weierstrass", "--p", "0.4", "--a", "3", "--D", "1",
+         "--eps", "1e-300"],
+        ["build", "weierstrass", "--eps", "5e-324"],
     ],
 )
 def test_build_at_unreachable_eps_exits_2_naming_eps(capsys, argv):
-    # past the float range, or (the Gaussian at 1e-12) below the rounding
-    # floor of its squaring stage
+    # past the float range or the cosine core's reach, or (the Gaussian at
+    # 1e-12) below the rounding floor of its squaring stage; the cosine core
+    # runs at 6/pi^3 eps and the series' terms at shares of eps, but the
+    # refusal names the eps given
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
-    assert "eps = " in stderr
+    assert f"eps = {argv[-1]}" in stderr
 
 
 def test_build_unknown_constructor(capsys):

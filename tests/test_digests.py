@@ -64,7 +64,7 @@ BUILDS = {
 
 # sha256 of each build's relunet file
 DIGESTS = {
-    "weier": "c97723238121b095b7afe51d8bbf02cac4a47ec05a01ce69d632082814906dcc",
+    "weier": "c639c5fb9ddbe036a173f29c51f2caf440a1e0409eb7264fa4e48bd756e8aa3d",
     "polynomial": "60202cb5037d3f5dfa4f391b41a1578c7a104efac42565b3171bcb7802548880",
     "gauss1": "d40497b712ce679d262a711a52b0d5f8cf6e026db9681da6030c23a748bf45e9",
     "gauss2": "8fae9cbf025e9df37f49ef277c15df593209ea710aab2f90f56d1bb9e712c95a",
@@ -131,7 +131,7 @@ OUTPUT_DIGESTS = {
     "smooth_general": "7cfddcb68333d7216982db153153ad67eae930299a759901f57c9c7ec33e11fa",
     "stitch": "391fb46289cb8516d9cc5b63e1b643bf5716593d4c505b0d00eb1d7bb2f1738d",
     "wavelet2": "1e249a92cf0923fbf0d83df1d4f2ef7a896731d751c8b0b5f8d1498ec77da47f",
-    "weier": "3ae716e922a268cd08d5ccee5aaef021e916bbeb4838706cdfb6c45a6f9e4dd3",
+    "weier": "b9f8ebb7b9aa34347f4f3518489360bcae5ae136bb4e8b106a465c7bfcfc1a24",
 }
 
 
@@ -198,8 +198,8 @@ PWL_DIGESTS = {
     ("stitch", (0.41, 0.425)): "9be31335625a252ac1630b9a223877f1502c8d5367736c130ab1df6e51025881",
     ("wavelet2", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
     ("wavelet2", (0.41, 0.425)): "541767151ce7f09d3efb88e6cbd3d1cbaed7489429ad124c8a7ae48b00a55277",
-    ("weier", (-0.3, -0.28)): "d4ec457036688b70f430c1faec675b6eb0897cd389fb1699e9a3333b421535f6",
-    ("weier", (0.41, 0.425)): "6c038420ca9ee7028bb73d5bc3ce14bf321b8838e49b02d47cc984a72b873495",
+    ("weier", (-0.3, -0.28)): "fbb734b4b9ec0032c0545fd32059900c3df31407a48f5e1ddf2598554254bd81",
+    ("weier", (0.41, 0.425)): "c5feec4ad182b149d1930409402f35f86b7fbb669a8b5d00510a1696e4bdda62",
 }
 
 

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
@@ -9,6 +12,7 @@ from relucalc.constructors import (
     weierstrass_reference,
     weierstrass_terms,
 )
+from relucalc.constructors.textures import _weierstrass_tolerances
 
 from conftest import grid_eval
 
@@ -46,6 +50,26 @@ def test_oscillatory_high_frequency():
 
 def test_weierstrass_terms():
     assert weierstrass_terms(0.25) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    st.floats(1e-12, 0.49),
+)
+@example(0.49999999999999994, 0.25)
+@example(0.49999999999999994, 1e-12)
+@example(5e-324, 0.49)
+def test_weierstrass_tolerances_fit_the_budget(p, eps):
+    # checked in exact rationals: the tail and the amplitude-weighted term
+    # errors each stay within eps/2
+    tolerances = _weierstrass_tolerances(p, eps)
+    last = len(tolerances) - 1
+    q, half = Fraction(p), Fraction(eps) / 2
+    assert last <= weierstrass_terms(eps)
+    assert q ** (last + 1) / (1 - q) <= half
+    assert sum(q ** k * Fraction(e) for k, e in enumerate(tolerances)) <= half
+    assert all(0.0 < e < 0.5 for e in tolerances)
 
 
 def test_weierstrass_geometric_value():

@@ -142,7 +142,7 @@ def test_cosine_degrees(eps, degree):
     [
         (lambda: cosine_network(30, 1, 1e-2), 1587),
         (lambda: cosine_network(100, 1, 1e-2), 1616),
-        (lambda: weierstrass_network(0.4, 3, 1, 1e-1), 12242),
+        (lambda: weierstrass_network(0.4, 3, 1, 1e-1), 6734),
     ],
     ids=["cos30", "cos100", "weier"],
 )
