@@ -9,6 +9,7 @@ support neighbourhood.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cache
 
@@ -29,18 +30,32 @@ from .algebra import _pow2_ceil, _product, polynomial_network
 def _truncated_power_sum(m: int, p: int, q: int) -> int:
     """(m-1)! q**(m-1) N_m(p/q) for q > 0, as the exact integer
     sum_{0 <= k <= p/q} (-1)^k C(m, k) (p - k q)^(m-1)."""
-    return sum(
-        (-1) ** k * math.comb(m, k) * (p - k * q) ** (m - 1)
-        for k in range(min(m, p // q) + 1)
-    )
+    total = 0
+    for k in range(min(m, p // q) + 1):
+        total += (-1) ** k * math.comb(m, k) * (p - k * q) ** (m - 1)
+    return total
 
 
 def cardinal_bspline(m: int, x) -> float:
     """Cardinal B-spline of order m (the m-fold convolution power of the unit
-    indicator), evaluated exactly at x through its truncated-power sum."""
+    indicator), evaluated exactly at x through its truncated-power sum.
+
+    x = p/q is read exactly (a float by as_integer_ratio, anything else
+    through Fraction).  Outside the support [0, m) the value is 0.0 with no
+    sum; inside, the sum runs over the shorter side, N_m(x) = N_m(m - x).
+    Either way the result is the one integer quotient, correctly rounded.
+    """
     if m < 1:
         raise ValueError("order must be a positive integer")
-    p, q = Fraction(x).as_integer_ratio()
+    if isinstance(x, float):
+        p, q = x.as_integer_ratio()
+    else:
+        p, q = map(int, Fraction(x).as_integer_ratio())
+    m = operator.index(m)
+    span = m * q
+    if p < 0 or p >= span:
+        return 0.0
+    p = min(p, span - p)
     return _truncated_power_sum(m, p, q) / (math.factorial(m - 1) * q ** (m - 1))
 
 
@@ -92,7 +107,13 @@ def bspline_network(m: int, eps: float) -> ReluNetwork:
         gate, amp = _plateau_gate(0.0, 1.0, eps * eps / 2.0)
     else:
         mono = [0.0] * (m - 1) + [1.0]
-        power = polynomial_network(mono, float(m + 2), eps / (4.0 * (m + 2)))
+        try:
+            power = polynomial_network(mono, float(m + 2), eps / (4.0 * (m + 2)))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"order m = {m} is too large for eps = {eps}: the power "
+                f"x^{m - 1} on [0, {m + 2}] leaves the float range"
+            ) from exc
         terms = []
         for k in range(m + 1):
             coeff = (-1.0) ** k * math.comb(m, k) / math.factorial(m - 1)
@@ -123,7 +144,14 @@ def spline_wavelet_coeffs(m: int) -> tuple[float, ...]:
 
 
 def spline_wavelet_reference(m: int, x) -> float:
-    """Exact spline wavelet value sum_n q_n N_m(2x - n + 1)."""
+    """Spline wavelet value sum_n q_n N_m(2x - n + 1), summed in floats.
+
+    Each B-spline term is exact, correctly rounded at its argument, but that
+    argument 2x - n + 1 is computed in floats, and the products with the
+    float q_n and their sum are rounded.  At m = 3 and x = 1e-17 the shift
+    2x rounds away and the value is 0.0; with exact shifts the same terms
+    sum to 4.2e-37.
+    """
     q = spline_wavelet_coeffs(m)
     return float(
         sum(

@@ -65,6 +65,17 @@ def test_build_at_unreachable_eps_exits_2_naming_eps(capsys, argv):
     assert f"eps = {argv[-1]}" in stderr
 
 
+@pytest.mark.parametrize("m", ["60", "200"])
+def test_build_bspline_at_too_high_order_exits_2_naming_m(capsys, m):
+    # the power x^(m-1) leaves the float range inside the polynomial
+    # network; the refusal names the order and eps given, not the multiplier's
+    code, stdout, stderr = run_cli(capsys, "build", "bspline", "--m", m, "--eps", "1e-2")
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert f"order m = {m} is too large for eps = 0.01" in stderr
+
+
 def test_build_unknown_constructor(capsys):
     code, _, stderr = run_cli(capsys, "build", "nosuch")
     assert code == 2

@@ -1,9 +1,13 @@
+import hashlib
 import math
+import struct
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relucalc import evaluate_batch, metrics
 from relucalc.constructors import (
@@ -70,16 +74,101 @@ def test_bspline_closed_form_equals_recurrence():
 
 def test_bspline_evaluation_retains_no_memory():
     xs = np.linspace(-2.0, 5.0, 20_001).tolist()
+    ys = np.linspace(-1.0, 6.0, 20_001).tolist()
     tracemalloc.start()
     try:
         total = 0.0
         for x in xs:
             total += cardinal_bspline(3, x)
+        wavelet = 0.0
+        for y in ys:
+            wavelet += spline_wavelet_reference(3, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert abs(total * (7.0 / 20_000) - 1.0) < 1e-6  # the spline integrates to 1
+    assert abs(wavelet * (7.0 / 20_000)) < 1e-4  # the wavelet integrates to 0
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def _truncated_power_value(m: int, x: float) -> float:
+    # the whole truncated-power sum at x = p/q, one quotient rounded once
+    p, q = Fraction(x).as_integer_ratio()
+    return float(
+        Fraction(_truncated_power_sum(m, p, q), math.factorial(m - 1) * q ** (m - 1))
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1.0, 9.0),
+    ),
+)
+@example(1, 0.0)
+@example(1, -0.0)
+@example(3, 5e-324)
+@example(3, -5e-324)
+@example(8, 1e300)
+@example(8, -1e300)
+@example(4, 2.0)
+@example(5, 2.5)
+@example(3, 3.0 - 2.0 ** -50)
+@example(3, 1.5 + 2.0 ** -50)
+def test_bspline_gated_shorter_side_is_the_full_sum(m, x):
+    # the support gate and the sum over the shorter side return the bits of
+    # the full truncated-power sum; 0.0 and -0.0 are told apart
+    assert _bits(cardinal_bspline(m, x)) == _bits(_truncated_power_value(m, x))
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (2, 0.5),
+        (3, 0.0),
+        (True, 0.5),
+        (np.int64(2), 0.5),
+        (np.float64(1.5), 0.75),
+        (Fraction(3, 2), 0.75),
+        (Decimal("1.5"), 0.75),
+        ("1.5", 0.75),
+        ("3/2", 0.75),
+    ],
+)
+def test_bspline_accepts_exact_inputs(x, want):
+    assert cardinal_bspline(3, x) == want
+
+
+@pytest.mark.parametrize(
+    "m, x, error",
+    [
+        (3, np.float32(1.5), TypeError),
+        (3, math.inf, OverflowError),
+        (3, -math.inf, OverflowError),
+        (3, math.nan, ValueError),
+        (0, 1.5, ValueError),
+        (-1, 1.5, ValueError),
+        (2.5, 1.5, TypeError),
+        (2.5, 10.0, TypeError),  # no gate before the order is read
+        (3.0, 1.5, TypeError),
+        (Fraction(3), 1.5, TypeError),
+    ],
+)
+def test_bspline_refuses_bad_inputs(m, x, error):
+    with pytest.raises(error):
+        cardinal_bspline(m, x)
+
+
+def test_bspline_numpy_integers_are_exact():
+    # numpy integers are read as Python ints, so high orders do not wrap
+    assert cardinal_bspline(30, np.int64(15)) == cardinal_bspline(30, 15)
+    assert cardinal_bspline(np.int64(30), 15.0) == cardinal_bspline(30, 15)
 
 
 def test_bspline_order_two_at_integers():
@@ -169,6 +258,27 @@ def test_wavelet_reference_orthogonal_to_constants():
         vals = np.array([spline_wavelet_reference(m, x) for x in xs])
         integral = np.trapezoid(vals, xs)
         assert abs(integral) <= 1e-4
+
+
+# sha256 of spline_wavelet_reference(m, x) on linspace(-1, 2m, 4001)
+WAVELET_REFERENCE_DIGESTS = {
+    1: "eca2097c44964698d47e62cbbe683cb8db0094dca533917bccbb488c7a0f09e2",
+    2: "97adfa70421c33ce7291c0052d84926e3549239c30cb64e742456749859bdd83",
+    3: "170fc992380bc23a6fdc032a1c9fbfc8c0af5fe700ac676b4db5b9953a0c3b9b",
+    4: "96d20644401ba43df46c65448e9b64e387bb302588f20b39a0d5565164eba4fa",
+}
+
+
+@pytest.mark.parametrize("m", sorted(WAVELET_REFERENCE_DIGESTS))
+def test_wavelet_reference_bits_are_pinned(m):
+    xs = np.linspace(-1.0, 2.0 * m, 4001)
+    vals = np.array([spline_wavelet_reference(m, x) for x in xs])
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == WAVELET_REFERENCE_DIGESTS[m]
+
+
+def test_wavelet_reference_rounds_its_shifts():
+    # the shift 2x - n + 1 is taken in floats, so 2e-17 rounds away
+    assert spline_wavelet_reference(3, 1e-17) == 0.0
 
 
 def test_wavelet_network_order_one_value():
