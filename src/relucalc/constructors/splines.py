@@ -1,13 +1,17 @@
 """Cardinal B-spline networks, spline wavelets, Haar elements, and the
 dilation/translation transform for affine dictionary elements.
 
-The B-spline is assembled from shifted rectified monomials and localized by
-an exact plateau gate, so the network vanishes identically outside the
-support neighbourhood.
+B-splines of order m >= 2 and spline wavelets come from one de Boor pyramid:
+N_2 is exact, and each level forms N_{k+1} from two shifts of N_k through
+the recurrence N_{k+1}(y) = (c N_k(y) + (k+1-c) N_k(y-1)) / k with the clamp
+c = rho(y) - rho(y-k-1), two multiplier cores per shift.  One pyramid holds
+every integer shift of N_m at once, and it vanishes exactly outside each
+shift's support.  Order 1 is a steep plateau gate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -15,16 +19,14 @@ from functools import cache
 
 import numpy as np
 
-from ..calculus import (
-    affine_network,
-    append_relu,
-    compose,
-    linear_combination_shared,
-    scalar_mult_network,
-    sum_finite_width,
-)
+from ..calculus import compose, linear_combination_shared, precompose_affine
 from ..core import AffineLayer, ReluNetwork, _check_eps
-from .algebra import _pow2_ceil, _product, polynomial_network
+from .algebra import (
+    _pow2_ceil,
+    _product,
+    multiply_network,
+    multiply_refinement_steps,
+)
 
 
 def _truncated_power_sum(m: int, p: int, q: int) -> int:
@@ -90,38 +92,174 @@ def _plateau_gate(
     return ReluNetwork(layers + (AffineLayer([[1.0]], [0.0]),)), scale / ramp
 
 
-def bspline_network(m: int, eps: float) -> ReluNetwork:
-    """Approximate the order-m cardinal B-spline within eps on all of R.
+# Dense float64 entries (the sum of rows x cols over all layers) above which
+# a de Boor pyramid is refused before anything is built: 2^25 entries hold
+# 256 MiB.  The B-spline of order 49 at eps 1e-2 needs 3.3e7, order 60 6.4e7.
+MAX_DENSE_ENTRIES = 2 ** 25
 
-    For m >= 2 the truncated-power representation
-    sum_k (-1)^k C(m, k) rho(x - k)^(m-1) / (m-1)! reproduces the spline; a
-    plateau gate multiplied in keeps the output exactly zero outside
-    [-1, m+1].  Order 1 is the unit indicator and is realized by a steep gate
-    alone (ramp width eps^2 / 2 around the jumps).  Weights stay bounded by 1.
+
+def _product_tol(m: int, k: int, eps: float) -> float:
+    """Tolerance of each product (c/k) N_k at level k of an order-m pyramid."""
+    return eps / ((m - 2) * k)
+
+
+def _clamp_knots(k: int, held: int, top: int) -> tuple[range, range]:
+    """Knots t of the ramps rho(y - t) that level k reads, as two disjoint
+    ranges: the clamps c_j = rho(y - j) - rho(y - j - k - 1) of its held - 1
+    shifts j."""
+    return range(held - 1), range(max(k + 1, held - 1), top + 1)
+
+
+def _pyramid_rows(m: int, shifts: int, eps: float):
+    """Row counts of the pyramid's layers, in order, without building it."""
+    top = shifts + m - 1
+    held = shifts + m - 2
+
+    def tail(k):  # the ramps of level k + 1 and the K it carries on
+        if k >= m - 1:
+            return 0
+        return sum(map(len, _clamp_knots(k + 1, held, top))) + (k < m - 2)
+
+    yield from [3] * int(math.log2(_pow2_ceil(top))) + [2]
+    yield 2 * held + 1 + (m >= 3)
+    yield held + tail(1)
+    for k in range(2, m):
+        cores, carry = 2 * (held - 1), 2 * (k < m - 1)
+        steps = multiply_refinement_steps(1.0, _product_tol(m, k, eps))
+        yield from [4 * cores + carry] + [5 * cores + carry] * steps
+        held -= 1
+        yield cores + tail(k)
+    yield shifts
+
+
+def _de_boor_pyramid(
+    m: int, shifts: int, eps: float, budget: float = 1.0
+) -> ReluNetwork:
+    """Network y -> (N_m(y - j))_{j < shifts} for m >= 2, each output within
+    eps / budget on all of R (write eps for eps / budget below), with all
+    weights at most 1.
+
+    Level 2 is exact: N_2(y - j) = rho(rho(y - j) - 2 rho(y - j - 1)).  Level
+    k holds N_k(y - j) for j < shifts + m - k and builds
+    N_{k+1}(y - j) = (c/k) N_k(y - j) + ((k+1-c)/k) N_k(y - j - 1) with
+    c = rho(y - j) - rho(y - j - k - 1), two multiplier cores per shift (de
+    Boor, "A Practical Guide to Splines", 1978, ch. IX).  Each product is
+    clipped at 0 and taken within eta / k, eta = eps / (m - 2), so
+    e_{k+1} <= (k+1)/k e_k + 2 eta / k, which with e_2 = 0 solves to
+    e_m <= eta (m - 2) = eps (up to float rounding).  The cores run at D = 1:
+    they square (x +- y)/2, and here x = c/k and y = N_k(c) (or N_k(k - c)
+    beside k+1-c) keep 0 <= x + y <= 3/2 + e_k < 2.
+
+    The ramps rho(y - t) come from a carried copy of rho(y) and a constant
+    channel K = P, the least power of two at or above the last knot
+    shifts + m - 1, built by doubling; a knot t enters as the weight t/P on
+    K, so y - t is rounded once, as a bias would be.  Outside its support
+    each N_k(y - j) is exactly 0: level 2 by monotone rounding, and later
+    levels because multiply(x, 0) == 0 bitwise.
+
+    The dense weights the pyramid would hold are counted from (m, shifts,
+    eps) first, and more than MAX_DENSE_ENTRIES is refused with ValueError.
+    """
+    dense, previous = 0, 1
+    for rows in _pyramid_rows(m, shifts, eps / budget):
+        dense, previous = dense + rows * previous, rows
+        if dense > MAX_DENSE_ENTRIES:
+            raise ValueError(
+                f"order m = {m} is too large for eps = {eps}: its de Boor "
+                f"pyramid holds more than MAX_DENSE_ENTRIES = "
+                f"{MAX_DENSE_ENTRIES:,} dense weights"
+            )
+    eps /= budget
+    top = shifts + m - 1
+    held = shifts + m - 2
+    scale = _pow2_ceil(top)
+    layers = []
+    keys = {"y": 0}
+
+    def emit(rows):  # rows of (key, bias, [(key in the previous layer, weight)])
+        nonlocal keys
+        mat = np.zeros((len(rows), len(keys)))
+        for i, (_, _, terms) in enumerate(rows):
+            for src, w in terms:
+                mat[i, keys[src]] = w
+        layers.append(AffineLayer(mat, [b for _, b, _ in rows]))
+        keys = {key: i for i, (key, _, _) in enumerate(rows)}
+
+    copy = lambda key: (key, 0.0, [(key, 1.0)])
+    ramp = lambda t: (t, 0.0, [(0, 1.0), ("K", -t / scale)])  # rho(y - t)
+
+    def tail(k):  # the ramps of level k + 1 and the K it carries on
+        if k >= m - 1:
+            return []
+        knots = itertools.chain(*_clamp_knots(k + 1, held, top))
+        carry = [copy("K")] * (k < m - 2)
+        return [copy(0) if t == 0 else ramp(t) for t in knots] + carry
+
+    # ramp 0 is rho(y); K doubles from 1 in the pair (Ka, Kb), then K = scale
+    pair = [("Ka", 1.0), ("Kb", 1.0)]
+    emit([(0, 0.0, [("y", 1.0)]), ("Ka", 1.0, []), ("Kb", 1.0, [])])
+    for _ in range(int(math.log2(scale)) - 1):
+        emit([copy(0), ("Ka", 0.0, pair), ("Kb", 0.0, pair)])
+    emit([copy(0), ("K", 0.0, pair)])
+    emit(
+        [copy(0)]
+        + [ramp(t) for t in range(1, held + 1)]
+        + [(("d", t), 0.0, ramp(t)[2]) for t in range(1, held + 1)]
+        + [copy("K")] * (m >= 3)
+    )
+    # level 2: N_2(y - j) = rho(y - j) - rho(y - j - 1) - ("d", j + 1), clipped
+    hats = [[(j, 1.0), (j + 1, -1.0), (("d", j + 1), -1.0)] for j in range(held)]
+    emit([(("v", j), 0.0, terms) for j, terms in enumerate(hats)] + tail(1))
+    values = lambda j: [("v", j)]
+    for k in range(2, m):
+        core = multiply_network(1.0, _product_tol(m, k, eps)).layers
+        cores = [(j, side) for j in range(held - 1) for side in (0, 1)]
+        carried = [copy(0), copy("K")] if k < m - 1 else []
+        held -= 1
+        for ell, layer in enumerate(core):
+            rows = []
+            for j, side in cores:
+                if ell == 0:
+                    # x = c/k beside N_k(y - j), (k+1)/k - c/k beside N_k(y - j - 1)
+                    sign = 1.0 - 2.0 * side
+                    inputs = [
+                        [(j, sign / k), (j + k + 1, -sign / k)],
+                        [(v, 1.0) for v in values(j + side)],
+                    ]
+                    shift = [side * (k + 1) / k, 0.0]
+                else:
+                    inputs = [[((j, side, c), 1.0)] for c in range(layer.in_dim)]
+                    shift = [0.0] * layer.in_dim
+                for r, (row, b) in enumerate(zip(layer.matrix, layer.bias)):
+                    terms = [
+                        (v, a * w) for a, vs in zip(row, inputs) if a for v, w in vs
+                    ]
+                    rows.append(((j, side, r), b + row @ shift, terms))
+            emit(rows + (tail(k) if ell == len(core) - 1 else carried))
+        values = lambda j: [(j, 0, 0), (j, 1, 0)]
+    emit([(j, 0.0, [(v, 1.0) for v in values(j)]) for j in range(shifts)])
+    return ReluNetwork(tuple(layers))
+
+
+def bspline_network(m: int, eps: float) -> ReluNetwork:
+    """Approximate the order-m cardinal B-spline within eps on all of R, with
+    weights at most 1.
+
+    For m >= 2 this is the de Boor pyramid of `_de_boor_pyramid` with one
+    shift: its multipliers take each product c N_k within eta = eps / (m - 2),
+    so the error is at most e_m <= eta (m - 2) = eps, order 2 is exact, and
+    the output is exactly 0 outside [0, m].  An order whose pyramid holds
+    more than MAX_DENSE_ENTRIES dense weights is refused with ValueError.
+    Order 1 is the unit indicator and is realized by a steep gate alone (ramp
+    width eps^2 / 2 around the jumps).
     """
     if m < 1:
         raise ValueError("order must be a positive integer")
     _check_eps(eps)
-    if m == 1:
-        body = ReluNetwork((AffineLayer([[0.0]], [1.0]),))
-        gate, amp = _plateau_gate(0.0, 1.0, eps * eps / 2.0)
-    else:
-        mono = [0.0] * (m - 1) + [1.0]
-        try:
-            power = polynomial_network(mono, float(m + 2), eps / (4.0 * (m + 2)))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(
-                f"order m = {m} is too large for eps = {eps}: the power "
-                f"x^{m - 1} on [0, {m + 2}] leaves the float range"
-            ) from exc
-        terms = []
-        for k in range(m + 1):
-            coeff = (-1.0) ** k * math.comb(m, k) / math.factorial(m - 1)
-            shifted = affine_network([[1.0]], [-float(k)])
-            term = compose(power, append_relu(shifted))
-            terms.append(compose(scalar_mult_network(coeff), term))
-        body = sum_finite_width(terms)
-        gate, amp = _plateau_gate(0.0, float(m), 1.0)
+    if m > 1:
+        return _de_boor_pyramid(m, 1, eps)
+    body = ReluNetwork((AffineLayer([[0.0]], [1.0]),))
+    gate, amp = _plateau_gate(0.0, 1.0, eps * eps / 2.0)
     return _product(body, gate, 1.0 + eps / 2.0, eps / 2.0, amp)
 
 
@@ -190,23 +328,30 @@ def dilate_translate(
 
 
 def spline_wavelet_network(m: int, eps: float) -> ReluNetwork:
-    """Approximate the order-m spline wavelet within eps on its support."""
+    """Approximate the order-m spline wavelet sum_n q_n N_m(2x - n + 1) within
+    eps on all of R.
+
+    The q_n alternate in sign and sum_n |q_n| = 2 (a partition of unity of
+    the N_2m), so each of the 3m - 1 shifts is taken within eps / 2.  For
+    m >= 2 all of them come from one de Boor pyramid (`_de_boor_pyramid`) on
+    y = 2x, whose output layer is weighted by the q_n; the network vanishes
+    exactly outside [0, 2m - 1].  Order 1 sums two order-1 gates.  The
+    dilation weight 2 enters the first layer raw, so the weight magnitude is
+    2; every other weight, the |q_n| < 1 included, is at most 1.
+    """
+    if m < 1:
+        raise ValueError("order must be a positive integer")
     _check_eps(eps)
-    q = spline_wavelet_coeffs(m)
-    budget = sum(abs(c) for c in q)
-    eta = eps / budget
-    terms = [
-        dilate_translate(
-            lambda reach, tol: bspline_network(m, tol),
-            [[2.0]],
-            [float(n - 1)],
-            math.inf,
-            2.0 * m,
-            eta,
-        )
-        for n in range(1, 3 * m)
-    ]
-    return linear_combination_shared(terms, q)
+    if m == 1:
+        terms = [
+            precompose_affine(bspline_network(1, eps / 2.0), [[2.0]], [-float(j)])
+            for j in range(2)
+        ]
+        return linear_combination_shared(terms, spline_wavelet_coeffs(1))
+    net = precompose_affine(_de_boor_pyramid(m, 3 * m - 1, eps, 2.0), [[2.0]], [0.0])
+    q = np.array([spline_wavelet_coeffs(m)])
+    last = net.layers[-1]
+    return ReluNetwork(net.layers[:-1] + (AffineLayer(q @ last.matrix, q @ last.bias),))
 
 
 def haar_mother_network(eps: float) -> ReluNetwork:

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from relucalc import analysis
+from relucalc.calculus import is_nondegenerate
 from relucalc.cli import main
-from relucalc.core import network, write_network
+from relucalc.core import network, read_network, write_network
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,18 @@ def test_build_bspline_at_too_high_order_exits_2_naming_m(capsys, m):
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
     assert f"order m = {m} is too large for eps = 0.01" in stderr
+
+
+def test_sweep_bspline_order_ten_meets_eps(capsys):
+    # the de Boor pyramid keeps the breakpoint count under MAX_PWL_VALUES
+    # and its error under eps, where the truncated-power sum missed by 0.21
+    code, stdout, stderr = run_cli(
+        capsys, "sweep", "bspline", "--m", "10", "--eps-list", "1e-2", "--grid", "2001"
+    )
+    assert (code, stderr) == (0, "")
+    header, row = stdout.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert float(fields["sup_error"]) <= 1e-2
 
 
 def test_build_unknown_constructor(capsys):
@@ -250,11 +263,13 @@ def test_codec_single_grid_point_is_usage_error(capsys, tmp_path):
 
 
 def test_codec_prunes_a_degenerate_build(capsys, tmp_path):
-    # bspline_network(2, 0.1) has 383 weights, 349 of them on live rows;
-    # encode takes only the pruned network
-    net_path = tmp_path / "b2.relunet"
-    run_cli(capsys, "build", "bspline", "--m", "2", "--eps", "0.1",
+    # the order-1 B-spline multiplies its gate by a constant body that reads
+    # the input with weight 0, so the build is degenerate (252 weights, 246
+    # of them on live rows); encode takes only the pruned network
+    net_path = tmp_path / "b1.relunet"
+    run_cli(capsys, "build", "bspline", "--m", "1", "--eps", "0.1",
             "--out", str(net_path))
+    assert not is_nondegenerate(read_network(net_path))
     code, stdout, stderr = run_cli(
         capsys, "codec", str(net_path), "--k", "5", "--eps", "0.25", "--grid", "2001"
     )

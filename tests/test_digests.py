@@ -72,10 +72,10 @@ DIGESTS = {
     "cos100": "9f28f70f112bbcac16d60ac3b7cc990cad0983d91233db9036c34a923e80bb2f",
     "cos30": "a05c66fcea138e25557fef17381238b572afbe884533432197664e1d444614d5",
     "bspline1": "f2f1e638180e59b51ddf0d6c5544d83d19cd00437ae5e23f0a0e7be32e41a415",
-    "bspline3": "d306bbba5752a9be44bb263309a447a0e125fd9eabe7730e2595b0ba20038971",
+    "bspline3": "fc46a5ac1491b7119c6a9a5d3d9c46cc05b26dbd462cf458bdca4c955f878f24",
     "mult": "567c43a51f9222b4a394db87b8eb4311e97279a539042959de323fb73c7ea53c",
     "multiply": "e2377d10d8d40f9ebd94435962e25bda77afa43143b4ee19f740067f4c47460f",
-    "wavelet2": "3e9078cdf9463f9540c2b46429755fc8cdf87a7debc0b10b1ace4fa55264113f",
+    "wavelet2": "8b402bd1a65bf7036ad28345bc97bfd118056c28b1abaed08141e2bc8f33330f",
     "cutoff1": "8853db51f967ea8df9d4eb2d038a20c683c2b39dbacef8162ffbe3eb5584a2c7",
     "cutoff2": "d79324a21f2f4a9fc2e195fce98a83322ddad5eedb8d84a40e15bd967f054ac6",
     "cutoff3": "0394ac9c5ca52a9004111e078d7716fc44305b4e2293c0c9124c9f0a93102da5",
@@ -108,7 +108,7 @@ def _outputs(net) -> bytes:
 # build may change its structure and keep these
 OUTPUT_DIGESTS = {
     "bspline1": "af6dd3abe75e2afbc8ef1b8efa052438e09dc3c9110518a85620768468754b14",
-    "bspline3": "1cbfd7141fa5be3b790faa16f8b1d29c939d5eb03345164a7c3e6fafa9ea5319",
+    "bspline3": "bae0a6280688dc19ab735cb447a678744773e975a87f7e36b72ca02ea32326e7",
     "cos100": "db15b92953aaf153915e2aa6407a307ba8a8c0f247d31b9d24d6abbc52043c8d",
     "cos30": "26f261630c4f5d715ce64eb1283df35d723e5339987897855e658e3e456e8bf6",
     "cutoff1": "ffc1f5db1faa7b6402489b6c3c21711ad6cb122faa068ac9410c12ab126aa81e",
@@ -130,7 +130,7 @@ OUTPUT_DIGESTS = {
     "polynomial": "e150bafa33fed0ba31242ebe48b1ce975641d79d8b6982e88bbae95c63c405a1",
     "smooth_general": "7cfddcb68333d7216982db153153ad67eae930299a759901f57c9c7ec33e11fa",
     "stitch": "391fb46289cb8516d9cc5b63e1b643bf5716593d4c505b0d00eb1d7bb2f1738d",
-    "wavelet2": "1e249a92cf0923fbf0d83df1d4f2ef7a896731d751c8b0b5f8d1498ec77da47f",
+    "wavelet2": "97087a262a1a1c4722ac08a82b67dece5fc438545f6f6be603d4401da0492e90",
     "weier": "b9f8ebb7b9aa34347f4f3518489360bcae5ae136bb4e8b106a465c7bfcfc1a24",
 }
 
@@ -167,7 +167,7 @@ PWL_DIGESTS = {
     ("bspline1", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
     ("bspline1", (0.41, 0.425)): "90c51b5bc28aa4181c8344abac44803ca716e944920f38ce00ead1aca6faa99d",
     ("bspline3", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
-    ("bspline3", (0.41, 0.425)): "7d9835fddd690f8d4c939e7802904fe6b2e585ac6dddd2e8863b9e93e5f25241",
+    ("bspline3", (0.41, 0.425)): "ab63f6c85456bd914bfdbad95e980538e3872ae922cd157bdf572b541253b570",
     ("cos100", (-0.3, -0.28)): "73a2e734aac79d48aa2d8dfbd28899e45b6db22327a74b19aa5c9f3a3cf28918",
     ("cos100", (0.41, 0.425)): "13aac6e54f8ab2d56304711752521997aa5a37eea67f30fde1fb8eac11fa55a7",
     ("cos30", (-0.3, -0.28)): "ddcb9f9e9d8c191c95437e2bd27fe26e1a09c02c7e8b9873a19b6c343774c21b",
@@ -197,7 +197,7 @@ PWL_DIGESTS = {
     ("stitch", (-0.3, -0.28)): "e40d9e5ba561a29225ae466fee33248edc230004d1df67fb927b8b1cea525795",
     ("stitch", (0.41, 0.425)): "9be31335625a252ac1630b9a223877f1502c8d5367736c130ab1df6e51025881",
     ("wavelet2", (-0.3, -0.28)): "27d278fec565f81fcd3d9c9c24e556c883698940a7c179dd32d0a8d242ddbd0b",
-    ("wavelet2", (0.41, 0.425)): "541767151ce7f09d3efb88e6cbd3d1cbaed7489429ad124c8a7ae48b00a55277",
+    ("wavelet2", (0.41, 0.425)): "e62143c1cd8be6ee56a26409cba2bbeb4a7d918c7348a2f976b467507e511bb3",
     ("weier", (-0.3, -0.28)): "fbb734b4b9ec0032c0545fd32059900c3df31407a48f5e1ddf2598554254bd81",
     ("weier", (0.41, 0.425)): "c5feec4ad182b149d1930409402f35f86b7fbb669a8b5d00510a1696e4bdda62",
 }
@@ -211,7 +211,7 @@ def test_exact_pwl_is_pinned(key, interval):
 
 def test_exact_pwl_of_bspline3_is_pinned():
     pwl = exact_pwl(BUILDS["bspline3"](), (-2.0, 5.0))
-    assert pwl.breakpoints.size == 3880
+    assert pwl.breakpoints.size == 147
     assert _pwl_digest(pwl) == (
-        "65aab0abd7fbf90bf7c00887ba2cbc2274974d354a6ba68b8e8d9afc095b31f4"
+        "bd30abaa60a9c90df8dc2af0bc9d60c91ee2659b23921148a893ec5ab074b919"
     )

@@ -278,9 +278,9 @@ CODEC_PINS = {
     ),
     "bspline3": (
         lambda: bspline_network(3, 1e-3),
-        2646,
-        "0a4e16a97902844871fbac453f117519a4a18c7adec6ace5039552493bedea6a",
-        "b2913b70c136f3739d6e30687cc70d04e62389d4576218a4548472d74a988197",
+        168,
+        "fc46a5ac1491b7119c6a9a5d3d9c46cc05b26dbd462cf458bdca4c955f878f24",
+        "53c2e3fabbf94eb02459f3966364d5c2e586f0a64d6be992ae88044ece81dbd4",
     ),
     "mult": (
         lambda: multiply_network(1, 1e-4),

@@ -22,7 +22,12 @@ from relucalc.constructors import (
     spline_wavelet_reference,
     square_network,
 )
-from relucalc.constructors.splines import _truncated_power_sum
+from relucalc.constructors.splines import (
+    MAX_DENSE_ENTRIES,
+    _de_boor_pyramid,
+    _pyramid_rows,
+    _truncated_power_sum,
+)
 
 from conftest import grid_eval
 
@@ -224,6 +229,54 @@ def test_bspline_network_vanishes_in_tails():
         assert evaluate_batch(net, x)[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
+def test_bspline_network_meets_eps_at_high_order(m, eps):
+    # the truncated-power sum missed eps from order 9 (by 0.21 at order 10);
+    # the de Boor pyramid has no cancellation and is exactly 0 off [0, m]
+    net = bspline_network(m, eps)
+    xs = np.linspace(-1.0, m + 1.0, 4001)
+    want = np.array([cardinal_bspline(m, x) for x in xs])
+    got = grid_eval(net, xs)
+    assert np.max(np.abs(got - want)) <= eps
+    assert got[0] == 0.0 and got[-1] == 0.0
+    assert metrics(net).weight_magnitude <= 1.0
+
+
+@pytest.mark.parametrize(
+    "m, shifts, eps", [(2, 1, 1e-2), (3, 1, 1e-3), (4, 11, 1e-2), (7, 2, 1e-4)]
+)
+def test_pyramid_rows_predict_the_built_dims(m, shifts, eps):
+    net = _de_boor_pyramid(m, shifts, eps)
+    assert list(_pyramid_rows(m, shifts, eps)) == list(net.dims[1:])
+
+
+def test_pyramid_shifts_are_the_shifted_bspline():
+    m, shifts, eps = 4, 3, 1e-3
+    net = _de_boor_pyramid(m, shifts, eps)
+    xs = np.linspace(-1.0, m + shifts, 2001)
+    got = evaluate_batch(net, xs.reshape(-1, 1))
+    for j in range(shifts):
+        want = np.array([cardinal_bspline(m, x - j) for x in xs])
+        assert np.max(np.abs(got[:, j] - want)) <= eps
+        assert np.all(got[(xs <= j) | (xs >= j + m), j] == 0.0)
+
+
+def test_bspline_network_refuses_an_oversized_pyramid_before_building():
+    # order 60 would hold about 6.4e7 dense weights; the count comes first
+    tracemalloc.start()
+    try:
+        refusal = "order m = 60 is too large for eps = 0.01"
+        with pytest.raises(ValueError, match=refusal):
+            bspline_network(60, 1e-2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    rows = list(_pyramid_rows(60, 1, 1e-2))
+    assert sum(a * b for a, b in zip(rows, [1] + rows)) > MAX_DENSE_ENTRIES
+
+
 def test_bspline_network_order_one_away_from_jumps():
     eps = 1e-2
     net = bspline_network(1, eps)
@@ -285,6 +338,15 @@ def test_wavelet_network_order_one_value():
     eps = 1e-2
     net = spline_wavelet_network(1, eps)
     assert abs(evaluate_batch(net, 0.25)[0, 0] - 1.0) <= eps
+
+
+def test_wavelet_network_vanishes_off_its_support():
+    for m in (2, 3):
+        net = spline_wavelet_network(m, 1e-2)
+        left = np.linspace(-50.0, 0.0, 501)
+        xs = np.concatenate([left, np.linspace(2.0 * m - 1.0, 50.0, 501)])
+        assert np.all(grid_eval(net, xs) == 0.0)
+        assert metrics(net).weight_magnitude == 2.0  # the dilation weight
 
 
 def test_wavelet_network_error():
