@@ -24,18 +24,66 @@ def _stack_pm(layer: AffineLayer) -> AffineLayer:
     )
 
 
+def _magnitude(layer: AffineLayer) -> float:
+    return float(max(np.max(np.abs(layer.matrix)), np.max(np.abs(layer.bias))))
+
+
+def _merge(a: AffineLayer, w: AffineLayer) -> AffineLayer | None:
+    """The single layer x -> a(w(x)), or None when it has more nonzeros than
+    the sparse joint of `compose` or an entry larger than every entry of a
+    and w.
+
+    The product is summed over the interface index k in ascending order,
+    from +0.0, with a's bias added last, so it does not depend on BLAS.
+    """
+    mat = np.zeros((a.out_dim, w.in_dim))
+    bias = np.zeros(a.out_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(w.out_dim):
+            mat += a.matrix[:, k, None] * w.matrix[k]
+            bias += a.matrix[:, k] * w.bias[k]
+        bias += a.bias
+    joint = (
+        2 * np.count_nonzero(w.matrix)
+        + 2 * np.count_nonzero(w.bias)
+        + 2 * np.count_nonzero(a.matrix)
+        + np.count_nonzero(a.bias)
+    )
+    if np.count_nonzero(mat) + np.count_nonzero(bias) > joint:
+        return None
+    # a product that overflowed is inf or nan and fails this test too
+    limit = max(_magnitude(a), _magnitude(w))
+    if not (np.max(np.abs(mat)) <= limit and np.max(np.abs(bias)) <= limit):
+        return None
+    return AffineLayer(mat, bias)
+
+
 def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
     """Network realizing outer(inner(x)).
 
-    Depth adds, connectivity at most doubles on each side, width is at most
-    max(2 * interface_dim, widths), magnitude is the max of the two.  The
-    interface channels the value through rho(x) - rho(-x).
+    With L1 = outer.depth, L2 = inner.depth, W = inner's last layer and
+    A = outer's first, the two are joined in one of two ways.
+    - Merged: W and A become the single layer
+      (A.matrix W.matrix, A.matrix W.bias + A.bias) whenever it has at most
+      as many nonzeros (biases included) as the sparse joint below and no
+      entry larger than every entry of A and W.  Depth is L1 + L2 - 1;
+      connectivity is at most the sparse joint's; width and magnitude are
+      at most the max of the two networks'.  The merged weights are rounded
+      once, at build time, so the network realizes the rounded map.
+    - Sparse (Petersen and Voigtlaender), otherwise: W becomes (W; -W) and
+      A becomes (A, -A), so the value passes the interface as
+      rho(x) - rho(-x).  Depth is L1 + L2; connectivity is the sum of the
+      two plus nnz(W) (bias included) plus nnz(A.matrix); width is at most
+      max(2 * interface_dim, widths); magnitude is the max of the two.
     """
     d2 = inner.out_dim
     if d2 != outer.in_dim:
         raise DimensionError(
             f"inner output dim {d2} does not match outer input dim {outer.in_dim}"
         )
+    merged = _merge(outer.layers[0], inner.layers[-1])
+    if merged is not None:
+        return ReluNetwork(inner.layers[:-1] + (merged,) + outer.layers[1:])
     inner_last = _stack_pm(inner.layers[-1])
     first = outer.layers[0]
     outer_first = AffineLayer(

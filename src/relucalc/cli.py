@@ -18,6 +18,7 @@ import numpy as np
 from . import analysis, calculus, quantcode
 from .core import (
     NetworkFormatError,
+    _write_text,
     evaluate_batch,
     metrics,
     read_network,
@@ -140,8 +141,7 @@ def _emit(lines, out_path) -> None:
     """Write the CSV to out_path, then to stdout, so a failed write prints none."""
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        _write_text(out_path, text)
     sys.stdout.write(text)
 
 

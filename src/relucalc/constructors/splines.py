@@ -19,11 +19,15 @@ from functools import cache
 
 import numpy as np
 
-from ..calculus import compose, linear_combination_shared, precompose_affine
+from ..calculus import (
+    compose,
+    linear_combination_shared,
+    precompose_affine,
+    scalar_mult_network,
+)
 from ..core import AffineLayer, ReluNetwork, _check_eps
 from .algebra import (
     _pow2_ceil,
-    _product,
     multiply_network,
     multiply_refinement_steps,
 )
@@ -250,17 +254,17 @@ def bspline_network(m: int, eps: float) -> ReluNetwork:
     so the error is at most e_m <= eta (m - 2) = eps, order 2 is exact, and
     the output is exactly 0 outside [0, m].  An order whose pyramid holds
     more than MAX_DENSE_ENTRIES dense weights is refused with ValueError.
-    Order 1 is the unit indicator and is realized by a steep gate alone (ramp
-    width eps^2 / 2 around the jumps).
+    Order 1 is the unit indicator, realized as a steep gate (ramp width
+    eps^2 / 2 around the jumps) scaled by its amplitude: exactly 1 on
+    [0, 1], exactly 0 outside [-eps^2 / 2, 1 + eps^2 / 2].
     """
     if m < 1:
         raise ValueError("order must be a positive integer")
     _check_eps(eps)
     if m > 1:
         return _de_boor_pyramid(m, 1, eps)
-    body = ReluNetwork((AffineLayer([[0.0]], [1.0]),))
     gate, amp = _plateau_gate(0.0, 1.0, eps * eps / 2.0)
-    return _product(body, gate, 1.0 + eps / 2.0, eps / 2.0, amp)
+    return compose(scalar_mult_network(amp), gate)
 
 
 @cache

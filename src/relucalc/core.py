@@ -33,6 +33,8 @@ through `_affine_step`.  The plan keeps the contract because
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -349,14 +351,33 @@ def metrics(net: ReluNetwork) -> NetworkMetrics:
 _MAGIC = "relunet v1"
 
 
+def _write_text(path, text: str) -> None:
+    """Write text to path as a new file.
+
+    An existing regular file that may be written is unlinked first, because
+    truncating a file whose previous version is still being written back
+    can block until that writeback ends (about 50 ms a file on ext4).  So
+    the path gets a new inode: a hard link to the old file keeps the old
+    content, and the mode comes from the umask.  A file that cannot be
+    unlinked is truncated in place, and symlinks, devices and FIFOs (such
+    as /dev/stdout) are opened as they are.  There is no fsync.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
+            os.unlink(path)
+    except OSError:
+        pass  # a missing file, or one the open below truncates or refuses
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def write_network(net: ReluNetwork, path) -> None:
     """Write a network as text; values are hex float literals for bit-exact round trips."""
     lines = [_MAGIC, str(net.depth), " ".join(str(d) for d in net.dims)]
     for layer in net.layers:
         lines.append(" ".join(v.hex() for v in layer.matrix.ravel(order="C")))
         lines.append(" ".join(v.hex() for v in layer.bias))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 class NetworkFormatError(ValueError):

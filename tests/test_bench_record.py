@@ -1,0 +1,90 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_record", Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+ENV = {"nproc": 2, "python": "3.11.7", "git_commit": "abc123", "seed": 0}
+
+
+def _result(out_dir, workload, seed, trace, metrics, commit="abc123", failed=0):
+    """A result file in the layout perfbench/run.py writes."""
+    env = dict(ENV, git_commit=commit, seed=seed)
+    data = {
+        "args": {"workload": workload, "seed": seed, "seconds": 55.0, "trace": trace},
+        "environment": env,
+        "counts": {"attempted": 10, "failed": failed},
+        "metrics": metrics,
+        "also": {} if trace else {"small_p50_ms": 1.0 + seed},
+    }
+    path = out_dir / f"result-{workload}-seed{seed}-trace{trace}-{commit}.json"
+    path.write_text(json.dumps(data))
+
+
+def _plain(seed):
+    return {"setup_s": 0.1 * seed, "peak_rss_mb": 50.0, "pass_s": 1.0 + seed}
+
+
+def test_entry_schema(tmp_path):
+    out, dest = tmp_path / "out", tmp_path / "dest"
+    out.mkdir()
+    dest.mkdir()
+    for seed in (1, 2, 3, 4, 5):
+        _result(out, "eval_deep", seed, 0, _plain(seed), failed=int(seed == 2))
+    _result(out, "eval_deep", 7, 1, {"core.evaluate_batch.busy_s": 2.0})
+    _result(out, "eval_deep", 8, 1, {"core.evaluate_batch.busy_s": 4.0})
+    _result(out, "verify_codec", 1, 0, _plain(1))
+    _result(out, "verify_codec", 9, 0, _plain(9), commit="def456")
+
+    assert bench_record.main(["--out-dir", str(out), "--dest", str(dest)]) == 2
+    assert bench_record.main(
+        ["--out-dir", str(out), "--dest", str(dest), "--commit", "abc", "--note", "n"]
+    ) == 0
+    data = json.loads((dest / "BENCH_eval_deep.json").read_text())
+    assert data["workload"] == "eval_deep"
+    (entry,) = data["entries"]
+    assert set(entry) == {
+        "commit", "note", "environment", "runs", "end_to_end", "also", "per_layer"
+    }
+    assert (entry["commit"], entry["note"]) == ("abc123", "n")
+    assert entry["environment"] == {"nproc": 2, "python": "3.11.7", "git_commit": "abc123"}
+    assert entry["runs"] == {
+        "untraced": 5,
+        "traced": 2,
+        "seeds": {"untraced": [1, 2, 3, 4, 5], "traced": [7, 8]},
+        "attempted": 70,
+        "failed": 1,
+    }
+    assert set(entry["end_to_end"]) == {"setup_s", "peak_rss_mb", "pass_s"}
+    assert entry["end_to_end"]["pass_s"] == {
+        "median": 4.0, "q1": 3.0, "q3": 5.0, "iqr": 2.0
+    }
+    assert entry["end_to_end"]["peak_rss_mb"]["iqr"] == 0.0
+    assert entry["also"] == {"small_p50_ms": 4.0}
+    assert entry["per_layer"] == {"core.evaluate_batch.busy_s": 3.0}
+    codec = json.loads((dest / "BENCH_verify_codec.json").read_text())["entries"]
+    assert [e["end_to_end"]["pass_s"]["median"] for e in codec] == [2.0]
+
+    # another commit appends; the same commit again replaces its entry
+    bench_record.record(out, dest, "def456")
+    bench_record.record(out, dest, "abc123")
+    codec = json.loads((dest / "BENCH_verify_codec.json").read_text())["entries"]
+    assert [e["commit"] for e in codec] == ["abc123", "def456"]
+    assert codec[0]["note"] is None
+
+
+def test_runs_on_two_machines_are_refused(tmp_path):
+    _result(tmp_path, "eval_deep", 1, 0, _plain(1))
+    _result(tmp_path, "eval_deep", 2, 0, _plain(2))
+    path = tmp_path / "result-eval_deep-seed2-trace0-abc123.json"
+    data = json.loads(path.read_text())
+    data["environment"]["nproc"] = 4
+    path.write_text(json.dumps(data))
+    with pytest.raises(bench_record.RecordError, match="environment"):
+        bench_record.record(tmp_path, tmp_path)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relucalc import (
+    AffineLayer,
     DimensionError,
+    ReluNetwork,
     affine_network,
     compose,
     evaluate_batch,
@@ -37,7 +39,7 @@ def hat(hat_net):
 def test_compose_hat_twice(hat):
     gg = compose(hat, hat)
     assert evaluate_batch(gg, 0.25)[0, 0] == 1.0  # g(0.25)=0.5, g(0.5)=1
-    assert gg.depth == 4
+    assert gg.depth == 3  # the joint merges into one layer
 
 
 def test_compose_depths_add():
@@ -46,6 +48,80 @@ def test_compose_depths_add():
     outer = random_net(rng, in_dim=3)
     composed = compose(outer, inner)
     assert composed.depth == inner.depth + outer.depth
+
+
+def _sparse_joint(outer, inner):
+    """outer after inner through (W; -W) and (A, -A), from the definition."""
+    w, a = inner.layers[-1], outer.layers[0]
+    stacked_bias = np.concatenate([w.bias, -w.bias])
+    joint = (
+        AffineLayer(np.vstack([w.matrix, -w.matrix]), stacked_bias),
+        AffineLayer(np.hstack([a.matrix, -a.matrix]), a.bias),
+    )
+    return ReluNetwork(inner.layers[:-1] + joint + outer.layers[1:])
+
+
+WIDE = network([(np.ones((5, 1)), np.zeros(5)), (np.ones((1, 5)), [0.0])])
+LARGE = network([([[1.5]], [0.0]), ([[1.5]], [0.0])])
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    # 25 merged nonzeros against 20 in the joint; a merged weight 2.25
+    [(WIDE, WIDE), (LARGE, LARGE)],
+    ids=["more_nonzeros", "larger_weight"],
+)
+def test_compose_falls_back_to_the_sparse_joint(outer, inner):
+    assert compose(outer, inner) == _sparse_joint(outer, inner)
+
+
+@st.composite
+def sparse_nets(draw, in_dim, out_dim):
+    """Depth 1 to 3, hidden dims up to 8; each layer is dense or about half
+    zeros, with weights of magnitude up to 1/2, 1 or 2, so that joints of
+    both kinds occur."""
+    depth = draw(st.integers(1, 3))
+    dims = [in_dim] + [draw(st.integers(1, 8)) for _ in range(depth - 1)] + [out_dim]
+    layers = []
+    for n_in, n_out in zip(dims, dims[1:]):
+        top = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        nonzero = st.one_of(st.sampled_from([top, -top]), st.floats(-top, top))
+        entry = nonzero if draw(st.booleans()) else st.one_of(st.just(0.0), nonzero)
+        mat = draw(st.lists(entry, min_size=n_in * n_out, max_size=n_in * n_out))
+        bias = draw(st.lists(entry, min_size=n_out, max_size=n_out))
+        layers.append((np.reshape(mat, (n_out, n_in)), bias))
+    return network(layers)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_compose_is_no_larger_than_the_sparse_joint(data):
+    # narrow interfaces between wide layers are where a merge can grow
+    dims = [data.draw(st.integers(1, 3)) for _ in range(3)]
+    inner = data.draw(sparse_nets(dims[0], dims[1]))
+    outer = data.draw(sparse_nets(dims[1], dims[2]))
+    joint = _sparse_joint(outer, inner)
+    composed = compose(outer, inner)
+    assert composed == joint or composed.depth == joint.depth - 1
+    mc, mj = metrics(composed), metrics(joint)
+    assert mc.depth <= mj.depth
+    assert mc.connectivity <= mj.connectivity
+    assert mc.width <= mj.width
+    assert mc.weight_magnitude <= mj.weight_magnitude
+    # Each network is within L gamma S of the exact map, where S is the
+    # joint's value with every weight and input replaced by its absolute
+    # value and gamma = (width + 2) 2^-53; the merged weights add one more
+    # gamma S, so the two differ by (2 L + 1) gamma S to first order, and
+    # 2 L + 2 covers the higher-order terms.
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    xs = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(16, inner.in_dim))
+    size = ReluNetwork(
+        tuple(AffineLayer(abs(l.matrix), abs(l.bias)) for l in joint.layers)
+    )
+    gamma = (mj.width + 2) * 2.0**-53
+    bound = (2 * mj.depth + 2) * gamma * evaluate_batch(size, np.abs(xs))
+    diff = np.abs(evaluate_batch(composed, xs) - evaluate_batch(joint, xs))
+    assert np.all(diff <= bound)
 
 
 def test_compose_identity_is_pointwise_equal(hat):
@@ -330,7 +406,8 @@ def test_sum_width_independent_of_count(hat):
     for n in (2, 4, 8):
         total = sum_finite_width([hat] * n)
         assert metrics(total).width <= 7
-        assert total.depth == sum(hat.depth for _ in range(n))
+        # each of the n - 1 joints between segments merges into one layer
+        assert total.depth == n * hat.depth - (n - 1)
 
 
 def test_sum_single_net(hat):

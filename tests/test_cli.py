@@ -68,8 +68,8 @@ def test_build_at_unreachable_eps_exits_2_naming_eps(capsys, argv):
 
 @pytest.mark.parametrize("m", ["60", "200"])
 def test_build_bspline_at_too_high_order_exits_2_naming_m(capsys, m):
-    # the power x^(m-1) leaves the float range inside the polynomial
-    # network; the refusal names the order and eps given, not the multiplier's
+    # the de Boor pyramid would hold more than MAX_DENSE_ENTRIES dense
+    # weights; the refusal names the order and eps given, not the multiplier's
     code, stdout, stderr = run_cli(capsys, "build", "bspline", "--m", m, "--eps", "1e-2")
     assert code == 2
     assert stdout == ""
@@ -263,9 +263,10 @@ def test_codec_single_grid_point_is_usage_error(capsys, tmp_path):
 
 
 def test_codec_prunes_a_degenerate_build(capsys, tmp_path):
-    # the order-1 B-spline multiplies its gate by a constant body that reads
-    # the input with weight 0, so the build is degenerate (252 weights, 246
-    # of them on live rows); encode takes only the pruned network
+    # the order-1 B-spline scales its gate through scalar_mult_network, whose
+    # last layer reads one of its three doubling channels with weight 0, so
+    # the build is degenerate (86 weights, 83 of them on live rows); encode
+    # takes only the pruned network
     net_path = tmp_path / "b1.relunet"
     run_cli(capsys, "build", "bspline", "--m", "1", "--eps", "0.1",
             "--out", str(net_path))

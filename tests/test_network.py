@@ -137,6 +137,31 @@ def test_equality_is_bitwise(tmp_path, hat_net):
         assert a != b and not a == b
 
 
+def test_write_replaces_the_file(tmp_path, hat_net):
+    # the second write makes a new file: the path reads back the second
+    # network bitwise, and a hard link to the first keeps the first
+    cos30 = cosine_network(30, 1, 1e-2)
+    path, link = tmp_path / "net.relunet", tmp_path / "link.relunet"
+    write_network(cos30, path)
+    link.hardlink_to(path)
+    write_network(hat_net, path)
+    assert read_network(path) == hat_net
+    assert read_network(link) == cos30
+
+
+def test_write_through_a_symlink_keeps_the_link(tmp_path, hat_net):
+    target, link = tmp_path / "target.relunet", tmp_path / "link.relunet"
+    write_network(random_net(np.random.default_rng(0)), target)
+    link.symlink_to(target)
+    write_network(hat_net, link)
+    assert link.is_symlink()
+    assert read_network(target) == hat_net
+
+
+def test_write_to_a_device(hat_net):
+    write_network(hat_net, "/dev/null")
+
+
 def test_serialization_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a network\n")

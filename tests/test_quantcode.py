@@ -272,9 +272,9 @@ def test_quantize_error_law_on_constructors():
 CODEC_PINS = {
     "cos30": (
         lambda: cosine_network(30, 1, 1e-2),
-        1980,
-        "fd7d9491183093044a387dc648425b02f89339fc37a534f15c7e67c63d93f2cb",
-        "9c7fecaad0075bd528b3034c6409fb44ba3afcdae261c32c71771faa8a9c48ee",
+        1476,
+        "d9f18fd4c06ae234fbac737cb0570945ac0572f06a32262e391ebd975f71c65d",
+        "076f5b25ccd8eb958e889c546381ed44cee1f958021458bef3f45b67d8a1a2d9",
     ),
     "bspline3": (
         lambda: bspline_network(3, 1e-3),

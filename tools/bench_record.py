@@ -1,0 +1,143 @@
+"""Add the benchmark runs of one commit to the checked-in trajectory.
+
+    python3 tools/bench_record.py [--out-dir perfbench/out] [--commit SHA]
+                                  [--note TEXT] [--dest .]
+
+Reads the `result-*.json` files that `perfbench/run.py` wrote to --out-dir,
+keeps those of one commit (their `environment.git_commit`; --commit may be a
+prefix and is needed only when the directory holds runs of several commits),
+and writes one entry per workload to `BENCH_<workload>.json` in --dest.  An
+entry holds
+- the commit, an optional note, and the environment record of the runs
+  without its seed (runs whose records differ otherwise are refused, since
+  an entry names one machine);
+- the runs: untraced and traced counts, their seeds, and the operations
+  attempted and failed over all of them;
+- the median, first and third quartile (statistics.quantiles, inclusive) and
+  IQR of setup_s, peak_rss_mb and pass_s over the untraced runs, and the
+  medians of the metrics they report beside those (`also`);
+- the median of each per-layer metric over the traced runs.
+Each file is {"workload": name, "entries": [...]}, one entry per commit: an
+entry for a commit already there replaces it, in place.  The script writes;
+it does not judge.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = ("setup_s", "peak_rss_mb", "pass_s")
+
+
+class RecordError(ValueError):
+    """The result files cannot make one entry."""
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    """Median, quartiles and IQR of the values."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def medians(dicts: list[dict[str, float]]) -> dict[str, float]:
+    names = sorted({name for d in dicts for name in d})
+    return {n: statistics.median([d[n] for d in dicts if n in d]) for n in names}
+
+
+def load(out_dir: Path, commit: str | None) -> tuple[str, list[dict]]:
+    """The commit and its result records."""
+    paths = sorted(out_dir.glob("result-*.json"))
+    results = [json.loads(p.read_text()) for p in paths]
+    commits = sorted({r["environment"]["git_commit"] for r in results})
+    if commit is not None:
+        commits = [c for c in commits if c.startswith(commit)]
+    if len(commits) != 1:
+        raise RecordError(
+            f"{out_dir} holds runs of commits {commits or 'none'} matching "
+            f"{commit!r}; name one with --commit"
+        )
+    chosen = commits[0]
+    return chosen, [r for r in results if r["environment"]["git_commit"] == chosen]
+
+
+def entry(commit: str, note: str | None, runs: list[dict]) -> dict:
+    """The trajectory entry of one workload's runs."""
+    envs = [{k: v for k, v in r["environment"].items() if k != "seed"} for r in runs]
+    if any(env != envs[0] for env in envs):
+        raise RecordError(f"runs of {commit} differ in their environment records")
+    plain = [r for r in runs if not r["args"]["trace"]]
+    traced = [r for r in runs if r["args"]["trace"]]
+    return {
+        "commit": commit,
+        "note": note,
+        "environment": envs[0],
+        "runs": {
+            "untraced": len(plain),
+            "traced": len(traced),
+            "seeds": {
+                "untraced": sorted(r["args"]["seed"] for r in plain),
+                "traced": sorted(r["args"]["seed"] for r in traced),
+            },
+            "attempted": sum(r["counts"]["attempted"] for r in runs),
+            "failed": sum(r["counts"]["failed"] for r in runs),
+        },
+        "end_to_end": {
+            name: spread([r["metrics"][name] for r in plain]) for name in END_TO_END
+        }
+        if plain
+        else {},
+        "also": medians([r["also"] for r in plain]),
+        "per_layer": medians([r["metrics"] for r in traced]),
+    }
+
+
+def record(
+    out_dir: Path, dest: Path, commit: str | None = None, note: str | None = None
+) -> list[Path]:
+    """Write the entries of one commit; returns the files written."""
+    commit, results = load(out_dir, commit)
+    written = []
+    for workload in sorted({r["args"]["workload"] for r in results}):
+        runs = [r for r in results if r["args"]["workload"] == workload]
+        new = entry(commit, note, runs)
+        path = dest / f"BENCH_{workload}.json"
+        data = {"workload": workload, "entries": []}
+        if path.exists():
+            data = json.loads(path.read_text())
+        old = [i for i, e in enumerate(data["entries"]) if e["commit"] == commit]
+        if old:
+            data["entries"][old[0]] = new
+        else:
+            data["entries"].append(new)
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        written.append(path)
+    return written
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out-dir", type=Path, default=ROOT / "perfbench" / "out")
+    p.add_argument("--commit")
+    p.add_argument("--note")
+    p.add_argument("--dest", type=Path, default=ROOT)
+    args = p.parse_args(argv)
+    try:
+        paths = record(args.out_dir, args.dest, args.commit, args.note)
+    except RecordError as err:
+        print(err, file=sys.stderr)
+        return 2
+    for path in paths:
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
