@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AffineLayer, DimensionError, ReluNetwork, metrics
+from .core import AffineLayer, DimensionError, ReluNetwork
 
 
 def _stack_pm(layer: AffineLayer) -> AffineLayer:
@@ -272,7 +272,7 @@ def reduce_weights(net: ReluNetwork) -> ReluNetwork:
     hidden activations positively scaled copies of the originals; a final
     scalar multiplication by B**L restores the output.
     """
-    b = metrics(net).weight_magnitude
+    b = max(_magnitude(layer) for layer in net.layers)
     if b <= 1.0:
         return net
     scaled = []

@@ -16,11 +16,8 @@ import math
 import numpy as np
 
 from ..calculus import (
-    _pad_all,
     affine_network,
     compose,
-    identity_network,
-    parallelize,
     parallelize_shared,
     scalar_mult_network,
 )
@@ -86,6 +83,38 @@ def multiply_refinement_steps(half_width: float, eps: float) -> int:
     return max(2, math.ceil(0.5 * (1.0 + math.log2(ratio))))
 
 
+# The multiplier's layers at D = 1: the input layer on (x, y), the split
+# into the channels (s1, s2, h1, h2, acc), the refinement layer and the
+# output row (bias -1).  See multiply_network.
+_MULT_IN = np.array([[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5]])
+_MULT_SPLIT = np.array(
+    [
+        [1.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0],
+        [1.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0],
+        [1.0, 1.0, -1.0, -1.0],
+    ]
+)
+_MULT_SPLIT_BIAS = np.array([0.0, 0.0, -0.5, -0.5, 1.0])
+_MULT_MID = np.array(
+    [
+        [0.5, 0.0, -1.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0, -1.0, 0.0],
+        [0.5, 0.0, -1.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0, -1.0, 0.0],
+        [-0.5, 0.5, 1.0, -1.0, 1.0],
+    ]
+)
+_MULT_OUT = np.array([-0.5, 0.5, 1.0, -1.0, 1.0])
+
+
+def _mult_mid_bias(ell: int) -> np.ndarray:
+    """Bias of the multiplier's refinement layer ell (3 <= ell <= m + 1)."""
+    step = 2.0 ** (-2 * ell + 3)
+    return np.array([0.0, 0.0, -step, -step, 0.0])
+
+
 def multiply_network(half_width: float, eps: float) -> ReluNetwork:
     """Approximate (x, y) -> x*y on [-D, D]**2 within eps.
 
@@ -98,42 +127,17 @@ def multiply_network(half_width: float, eps: float) -> ReluNetwork:
     """
     d = max(1.0, float(half_width))
     m = multiply_refinement_steps(half_width, eps)
-    inv = 1.0 / (2.0 * d)
-    a1 = np.array(
-        [[inv, inv], [-inv, -inv], [inv, -inv], [-inv, inv]]
-    )
-    layers = [AffineLayer(a1, np.zeros(4))]
-    # Channel order (s1, s2, h1, h2, acc).  The accumulator carries the signed
-    # branch difference shifted by +1 so it never hits the ReLU clip (the
-    # difference of the two partial squares lies in [-1, 1]); the final bias
-    # removes the shift.  Interleaving the branch columns makes equal branch
-    # values cancel term by term under the column-sequential evaluation order,
-    # which is what makes multiply(x, 0) == multiply(0, x) == 0 hold bitwise.
-    a2 = np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 1.0],
-            [1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 1.0],
-            [1.0, 1.0, -1.0, -1.0],
-        ]
-    )
-    b2 = np.array([0.0, 0.0, -0.5, -0.5, 1.0])
-    layers.append(AffineLayer(a2, b2))
-    a_mid = np.array(
-        [
-            [0.5, 0.0, -1.0, 0.0, 0.0],
-            [0.0, 0.5, 0.0, -1.0, 0.0],
-            [0.5, 0.0, -1.0, 0.0, 0.0],
-            [0.0, 0.5, 0.0, -1.0, 0.0],
-            [-0.5, 0.5, 1.0, -1.0, 1.0],
-        ]
-    )
+    layers = [AffineLayer(_MULT_IN / d, np.zeros(4))]
+    # The accumulator acc carries the signed branch difference shifted by +1
+    # so it never hits the ReLU clip (the difference of the two partial
+    # squares lies in [-1, 1]); the final bias removes the shift.
+    # Interleaving the branch columns makes equal branch values cancel term
+    # by term under the column-sequential evaluation order, which is what
+    # makes multiply(x, 0) == multiply(0, x) == 0 hold bitwise.
+    layers.append(AffineLayer(_MULT_SPLIT, _MULT_SPLIT_BIAS))
     for ell in range(3, m + 2):
-        step = 2.0 ** (-2 * ell + 3)
-        b_mid = np.array([0.0, 0.0, -step, -step, 0.0])
-        layers.append(AffineLayer(a_mid, b_mid))
-    layers.append(AffineLayer([[-0.5, 0.5, 1.0, -1.0, 1.0]], [-1.0]))
+        layers.append(AffineLayer(_MULT_MID, _mult_mid_bias(ell)))
+    layers.append(AffineLayer([_MULT_OUT], [-1.0]))
     core = ReluNetwork(tuple(layers))
     if d == 1.0:
         return core
@@ -163,42 +167,31 @@ def _pow2_ceil(x: float) -> float:
     return 2.0 ** (exponent - 1 if mantissa == 0.5 else exponent)
 
 
-def _poly_step(coeff: float, bound: float, eta: float) -> ReluNetwork:
-    """One stage (x, s, y) -> (x, s + a*y, mult(x, y)) of the polynomial chain."""
-    fan_out = ReluNetwork(
-        (
-            AffineLayer(
-                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
-                np.zeros(4),
-            ),
-        )
-    )
-    ident = identity_network(1)
-    accumulate = parallelize(
-        _pad_all([ident, affine_network([[1.0, coeff]], [0.0]), ident])
-    )
-    duplicate = ReluNetwork(
-        (
-            AffineLayer(
-                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
-                np.zeros(4),
-            ),
-        )
-    )
-    multiply_stage = parallelize(
-        _pad_all([ident, ident, multiply_network(bound, eta)])
-    )
-    return compose(
-        multiply_stage, compose(duplicate, compose(accumulate, fan_out))
-    )
-
-
 def polynomial_network(coeffs, half_width: float, eps: float) -> ReluNetwork:
-    """Approximate the polynomial sum(a_i x**i) on [-D, D] within eps.
+    """Approximate the polynomial sum(a_k x**k) on [-D, D] within eps.
 
     Width stays at 9 and all weights at 1.  Degrees 0 and 1 collapse to an
-    affine map; otherwise the monomials are built by chained multiplications
-    while an extra channel accumulates the weighted partial sum.
+    affine map.  For degree n >= 2, write d = ceil(max(1, D)) and
+    eta = min(eps / (max_k |a_k| (n - 1)**2 d**(n - 2)), 1/4); the monomials
+    are approximated by y_1 = x and y_{i+1} = x y_i + e_i with |e_i| <= eta,
+    so |y_k| <= bound(k) = d**k + eta sum_{s < k - 1} d**s and the error is
+    at most eps.
+
+    The chain carries the scaled monomial z_i = y_i / bound(i), so every
+    multiplier runs at unit range: it takes (x/d) z_i within
+    eta / (d bound(i)) and z_{i+1} = (d bound(i) / bound(i+1)) mult, a factor
+    below 1 (bound(i+1) = d bound(i) + eta).  The partial sum is carried as
+    s / amp with amp = _pow2_ceil(max_k |a_k| bound(k)), so that each
+    coefficient c_k = a_k bound(k) / amp is at most 1 in magnitude; when
+    amp > 1 a single scalar_mult_network(amp) scales the output.
+
+    Stage i (1 <= i < n) is one layer of x+, x-, s'+, s'- (s' = s + c_i z_i)
+    beside the multiplier's input rows on (x/d, z_i), then the multiplier's
+    m_i = multiply_refinement_steps(1, eta / (d bound(i))) middle layers
+    beside copies of those four (the last stage drops x+ and x-).  Each
+    multiplier's output row merges into the next layer, and one output layer
+    gives s + c_n z_n, so the depth is sum_i (m_i + 1) + 1, plus
+    scalar_mult_network(amp).depth - 1 when amp > 1.
     """
     coeffs = [float(c) for c in np.atleast_1d(np.asarray(coeffs, dtype=np.float64))]
     if not coeffs:
@@ -207,20 +200,56 @@ def polynomial_network(coeffs, half_width: float, eps: float) -> ReluNetwork:
     degree = len(coeffs) - 1
     if degree <= 1:
         return affine_network([[coeffs[1] if degree else 0.0]], [coeffs[0]])
-    d = max(1.0, float(half_width))
-    d_ceil = math.ceil(d)
+    d = math.ceil(max(1.0, float(half_width)))
     a_max = max(abs(c) for c in coeffs)
     if a_max == 0.0:
         return ReluNetwork((AffineLayer([[0.0]], [0.0]),))
-    eta = eps / (a_max * (degree - 1) ** 2 * d_ceil ** (degree - 2))
-    eta = min(eta, 0.25)
+    eta = min(eps / (a_max * (degree - 1) ** 2 * d ** (degree - 2)), 0.25)
+    bound = [
+        d**k + eta * sum(d**s for s in range(k - 1)) for k in range(degree + 1)
+    ]
+    amp = _pow2_ceil(max(abs(a) * b for a, b in zip(coeffs, bound)))
+    c = [a * b / amp for a, b in zip(coeffs, bound)]
 
-    def bound(k: int) -> float:
-        return d_ceil ** k + eta * sum(d_ceil ** s for s in range(k - 1))
+    middle = {}  # (carried rows, ell) -> the multiplier's layer ell beside copies
 
-    # (x) -> (x, a_0, x)
-    net = affine_network([[1.0], [0.0], [1.0]], [0.0, coeffs[0], 0.0])
+    def middle_layer(k: int, ell: int) -> AffineLayer:
+        if (k, ell) not in middle:
+            block, bias = (
+                (_MULT_SPLIT, _MULT_SPLIT_BIAS)
+                if ell == 2
+                else (_MULT_MID, _mult_mid_bias(ell))
+            )
+            mat = np.zeros((k + 5, k + block.shape[1]))
+            mat[:k, :k] = np.eye(k)
+            mat[k:, k:] = block
+            middle[k, ell] = AffineLayer(mat, np.concatenate([np.zeros(k), bias]))
+        return middle[k, ell]
+
+    # stage 1 reads x: z_1 = x / d and s = c_0.  x, s and z are linear forms
+    # over the previous layer's outputs, bias last.
+    x = np.array([1.0, 0.0])
+    s = np.array([0.0, c[0]])
+    z = x / d
+    carry = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    layers = []
     for i in range(1, degree):
-        net = compose(_poly_step(coeffs[i], bound(i), eta), net)
-    final = affine_network([[0.0, 1.0, coeffs[degree]]], [0.0])
-    return compose(final, net)
+        k = 4 if i < degree - 1 else 2
+        s = s + c[i] * z  # s'
+        mult_in = np.outer(_MULT_IN[:, 0] / d, x) + np.outer(_MULT_IN[:, 1], z)
+        rows = np.vstack([carry[: k - 2], s, -s, mult_in])
+        layers.append(AffineLayer(rows[:, :-1], rows[:, -1]))
+        m = multiply_refinement_steps(1.0, eta / (d * bound[i]))
+        layers.extend(middle_layer(k, ell) for ell in range(2, m + 2))
+        # the forms over the next layer's input, (x+, x-, s+, s-, h) or
+        # (s+, s-, h) after the last stage, where only s and z are read
+        f = d * bound[i] / bound[i + 1]
+        cols = np.eye(k, k + 6)
+        x, s, carry = cols[0] - cols[1], cols[k - 2] - cols[k - 1], cols[:2]
+        z = np.concatenate([np.zeros(k), f * _MULT_OUT, [-f]])
+    out = s + c[degree] * z
+    layers.append(AffineLayer([out[:-1]], out[-1:]))
+    net = ReluNetwork(tuple(layers))
+    if amp == 1.0:
+        return net
+    return compose(scalar_mult_network(amp), net)

@@ -67,7 +67,7 @@ def _frozen_array(data, shape_kind: str) -> np.ndarray:
         raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
     if shape_kind == "bias" and arr.ndim != 1:
         raise DimensionError(f"bias must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("layer entries must be finite")
     arr.flags.writeable = False
     return arr

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from relucalc import evaluate_batch, metrics
+from relucalc.calculus import scalar_mult_network
 from relucalc.constructors import (
     multiply_network,
     multiply_refinement_steps,
@@ -187,6 +191,49 @@ def test_polynomial_error_bound(seed):
     xs = np.linspace(-d, d, 257)
     want = np.polyval(coeffs[::-1], xs)
     assert np.max(np.abs(grid_eval(net, xs) - want)) <= eps + 1e-12
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_polynomial_with_large_coefficients(seed):
+    # coefficients up to 5 and D up to 3 take the amp tail and the d > 1 path
+    rng = np.random.default_rng(seed)
+    deg = int(rng.integers(2, 9))
+    coeffs = rng.uniform(-5.0, 5.0, size=deg + 1)
+    d = float(rng.uniform(0.5, 3.0))
+    eps = 10.0 ** rng.uniform(-6, -2)
+    net = polynomial_network(coeffs, d, eps)
+    xs = np.linspace(-d, d, 1025)
+    want = np.polyval(coeffs[::-1], xs)
+    assert np.max(np.abs(grid_eval(net, xs) - want)) <= eps + 1e-12
+    m = metrics(net)
+    assert m.width <= 9
+    assert m.weight_magnitude <= 1.0
+
+
+@pytest.mark.parametrize(
+    "coeffs, half_width, eps",
+    [
+        ([0.1, 0.4, -0.3, 0.2], 1.0, 1e-2),
+        ([1.0, 0.0, -1.0], 1.0, 1e-3),
+        ([0.5, -4.0, 2.5, 3.0, -1.5], 2.5, 1e-4),
+        ([3.0, 1.0, -2.0, 0.0, 5.0, -1.0, 0.25], 0.5, 1e-6),
+    ],
+)
+def test_polynomial_depth_formula(coeffs, half_width, eps):
+    # depth = sum_{i < n} (m_i + 1) + 1, m_i the refinement count of a
+    # unit-range multiplier at eta / (d bound(i)), plus the amp tail
+    n = len(coeffs) - 1
+    d = math.ceil(max(1.0, half_width))
+    eta = min(eps / (max(map(abs, coeffs)) * (n - 1) ** 2 * d ** (n - 2)), 0.25)
+    bound = [d**k + eta * sum(d**s for s in range(k - 1)) for k in range(n + 1)]
+    depth = 1 + sum(
+        multiply_refinement_steps(1.0, eta / (d * bound[i])) + 1 for i in range(1, n)
+    )
+    amp = max(abs(a) * b for a, b in zip(coeffs, bound))
+    if amp > 1.0:
+        depth += scalar_mult_network(2.0 ** math.ceil(math.log2(amp))).depth - 1
+    assert polynomial_network(coeffs, half_width, eps).depth == depth
 
 
 def test_star_import_exports_every_constructor():

@@ -15,6 +15,7 @@ from relucalc import (
     prune,
     write_network,
 )
+from relucalc import quantcode
 from relucalc.constructors import (
     bspline_network,
     cosine_network,
@@ -272,9 +273,9 @@ def test_quantize_error_law_on_constructors():
 CODEC_PINS = {
     "cos30": (
         lambda: cosine_network(30, 1, 1e-2),
-        1476,
-        "d9f18fd4c06ae234fbac737cb0570945ac0572f06a32262e391ebd975f71c65d",
-        "076f5b25ccd8eb958e889c546381ed44cee1f958021458bef3f45b67d8a1a2d9",
+        1242,
+        "7533c3be5ce310fb1fcf3a5245a45a84e208e110d24ab98ba6f9f30ae096bf53",
+        "b4c3257fc8da5e027216ee51a0173be7273a12a4cb15357d29a2f857db6f3ad2",
     ),
     "bspline3": (
         lambda: bspline_network(3, 1e-3),
@@ -496,6 +497,22 @@ def test_decode_rejects_short_string_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def _identity(n):
+    return network([(np.eye(n), np.zeros(n))])
+
+
+def test_decode_refuses_layers_above_the_dense_cap(monkeypatch):
+    monkeypatch.setattr(quantcode, "MAX_DECODED_ENTRIES", 399)
+    with pytest.raises(CodecError, match="400 dense entries"):
+        decode(encode(_identity(20), 2, 0.25), 2, 0.25)
+
+
+def test_decode_keeps_a_large_identity_under_the_real_cap():
+    assert 1000 * 1000 <= quantcode.MAX_DECODED_ENTRIES
+    net = _identity(1000)
+    assert decode(encode(net, 2, 0.25), 2, 0.25) == net
 
 
 @pytest.mark.parametrize(
