@@ -27,11 +27,9 @@ from .calculus import (
     linear_combination_shared,
     parallelize,
     parallelize_shared,
-    precompose_affine,
     prune,
     reduce_weights,
     scalar_mult_network,
-    scale_output,
     sum_finite_width,
 )
 

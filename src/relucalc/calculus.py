@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AffineLayer, DimensionError, ReluNetwork
+from .core import AffineLayer, DimensionError, ReluNetwork, network
 
 
 def _stack_pm(layer: AffineLayer) -> AffineLayer:
@@ -170,19 +170,19 @@ def _shared_input(nets: Sequence[ReluNetwork], what: str) -> list[ReluNetwork]:
     return _pad_all(list(nets))
 
 
-def _fan_in(nets: Sequence[ReluNetwork], blocks: ReluNetwork) -> ReluNetwork:
-    """blocks, built from nets on distinct inputs, fed one shared input: its
-    block-diagonal first matrix becomes the stacked first matrices."""
-    stacked = np.vstack([n.layers[0].matrix for n in nets])
-    return ReluNetwork(
-        (AffineLayer(stacked, blocks.layers[0].bias),) + blocks.layers[1:]
-    )
+def _fan_out(nets: Sequence[ReluNetwork]) -> ReluNetwork:
+    """The one layer x -> (x, ..., x), one copy of the shared input per
+    network.  Composed under a block-diagonal first layer, each merged sum
+    holds one nonzero product, a weight times 1, so `compose` merges the two
+    into the stacked first layers."""
+    copies = np.tile(np.eye(nets[0].in_dim), (len(nets), 1))
+    return network([(copies, np.zeros(len(copies)))])
 
 
 def parallelize_shared(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     """(Phi_1(x), ..., Phi_n(x)) for networks sharing one input."""
     nets = _shared_input(nets, "parallelize_shared")
-    return _fan_in(nets, parallelize(nets))
+    return compose(parallelize(nets), _fan_out(nets))
 
 
 def linear_combination(
@@ -222,7 +222,7 @@ def linear_combination_shared(
         mat = sum(a * n.layers[0].matrix for a, n in zip(coeffs, nets))
         bias = sum(a * n.layers[0].bias for a, n in zip(coeffs, nets))
         return ReluNetwork((AffineLayer(mat, bias),))
-    return _fan_in(nets, linear_combination(nets, coeffs))
+    return compose(linear_combination(nets, coeffs), _fan_out(nets))
 
 
 def scalar_mult_network(a: float, dim: int = 1) -> ReluNetwork:
@@ -308,7 +308,12 @@ def sum_finite_width(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     mid[d + d_out :, :d] = np.eye(d)
     a_out = np.hstack([np.zeros((d_out, d)), np.eye(d_out), np.eye(d_out)])
 
-    def segment(sub: ReluNetwork, first: bool, last: bool) -> ReluNetwork:
+    # A segment's block is block-diagonal over three channel groups (input,
+    # total, summand), and a_in, mid and a_out hold at most one 1 per group
+    # in each row and column, so every merged sum below has one nonzero
+    # product and compose merges into the block's own entries.
+    total = network([(a_in, np.zeros(len(a_in)))])
+    for i, sub in enumerate(nets):
         block = parallelize(
             [
                 identity_network(d, sub.depth),
@@ -316,19 +321,9 @@ def sum_finite_width(nets: Sequence[ReluNetwork]) -> ReluNetwork:
                 sub,
             ]
         )
-        layers = list(block.layers)
-        if first:
-            lay = layers[0]
-            layers[0] = AffineLayer(lay.matrix @ a_in, lay.bias)
-        post = a_out if last else mid
-        lay = layers[-1]
-        layers[-1] = AffineLayer(post @ lay.matrix, post @ lay.bias)
-        return ReluNetwork(tuple(layers))
-
-    total = segment(nets[0], first=True, last=len(nets) == 1)
-    for i, sub in enumerate(nets[1:], start=1):
-        seg = segment(sub, first=False, last=i == len(nets) - 1)
-        total = compose(seg, total)
+        post = a_out if i == len(nets) - 1 else mid
+        segment = compose(network([(post, np.zeros(len(post)))]), block)
+        total = compose(segment, total)
     return total
 
 
@@ -336,25 +331,6 @@ def append_relu(net: ReluNetwork) -> ReluNetwork:
     """Network realizing rho(net(x))."""
     d = net.out_dim
     return ReluNetwork(net.layers + (AffineLayer(np.eye(d), np.zeros(d)),))
-
-
-def scale_output(net: ReluNetwork, c: float) -> ReluNetwork:
-    """Scale the realized function by c by scaling the last layer."""
-    last = net.layers[-1]
-    return ReluNetwork(
-        net.layers[:-1] + (AffineLayer(c * last.matrix, c * last.bias),)
-    )
-
-
-def precompose_affine(net: ReluNetwork, matrix, bias) -> ReluNetwork:
-    """Network realizing net(Ax + b) by merging the map into the first layer."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    bias = np.atleast_1d(np.asarray(bias, dtype=np.float64))
-    first = net.layers[0]
-    if first.in_dim != matrix.shape[0]:
-        raise DimensionError("affine output dim does not match network input dim")
-    merged = AffineLayer(first.matrix @ matrix, first.matrix @ bias + first.bias)
-    return ReluNetwork((merged,) + net.layers[1:])
 
 
 def prune(net: ReluNetwork) -> ReluNetwork:

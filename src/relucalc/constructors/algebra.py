@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from ..calculus import (
+    _block_diag,
     affine_network,
     compose,
     parallelize_shared,
@@ -220,9 +221,7 @@ def polynomial_network(coeffs, half_width: float, eps: float) -> ReluNetwork:
                 if ell == 2
                 else (_MULT_MID, _mult_mid_bias(ell))
             )
-            mat = np.zeros((k + 5, k + block.shape[1]))
-            mat[:k, :k] = np.eye(k)
-            mat[k:, k:] = block
+            mat = _block_diag([np.eye(k), block])
             middle[k, ell] = AffineLayer(mat, np.concatenate([np.zeros(k), bias]))
         return middle[k, ell]
 

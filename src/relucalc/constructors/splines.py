@@ -19,18 +19,9 @@ from functools import cache
 
 import numpy as np
 
-from ..calculus import (
-    compose,
-    linear_combination_shared,
-    precompose_affine,
-    scalar_mult_network,
-)
-from ..core import AffineLayer, ReluNetwork, _check_eps
-from .algebra import (
-    _pow2_ceil,
-    multiply_network,
-    multiply_refinement_steps,
-)
+from ..calculus import compose, linear_combination_shared, scalar_mult_network
+from ..core import AffineLayer, ReluNetwork, _check_eps, network
+from .algebra import _pow2_ceil, multiply_network
 
 
 def _truncated_power_sum(m: int, p: int, q: int) -> int:
@@ -107,33 +98,70 @@ def _product_tol(m: int, k: int, eps: float) -> float:
     return eps / ((m - 2) * k)
 
 
-def _clamp_knots(k: int, held: int, top: int) -> tuple[range, range]:
-    """Knots t of the ramps rho(y - t) that level k reads, as two disjoint
-    ranges: the clamps c_j = rho(y - j) - rho(y - j - k - 1) of its held - 1
-    shifts j."""
-    return range(held - 1), range(max(k + 1, held - 1), top + 1)
-
-
-def _pyramid_rows(m: int, shifts: int, eps: float):
-    """Row counts of the pyramid's layers, in order, without building it."""
+def _pyramid_layers(m: int, shifts: int, eps: float):
+    """The layers of `_de_boor_pyramid`, in order, each a list of rows
+    (key, bias, terms), where terms are (key of a row of the previous
+    layer, weight) and the input is the key "y"."""
     top = shifts + m - 1
     held = shifts + m - 2
+    scale = _pow2_ceil(top)
+    copy = lambda key: (key, 0.0, [(key, 1.0)])
+    ramp = lambda t: (t, 0.0, [(0, 1.0), ("K", -t / scale)])  # rho(y - t)
 
     def tail(k):  # the ramps of level k + 1 and the K it carries on
         if k >= m - 1:
-            return 0
-        return sum(map(len, _clamp_knots(k + 1, held, top))) + (k < m - 2)
+            return []
+        # the knots of the clamps c_j = rho(y - j) - rho(y - j - k - 2) of
+        # its held - 1 shifts j
+        knots = itertools.chain(
+            range(held - 1), range(max(k + 2, held - 1), top + 1)
+        )
+        carry = [copy("K")] * (k < m - 2)
+        return [copy(0) if t == 0 else ramp(t) for t in knots] + carry
 
-    yield from [3] * int(math.log2(_pow2_ceil(top))) + [2]
-    yield 2 * held + 1 + (m >= 3)
-    yield held + tail(1)
+    # ramp 0 is rho(y); K doubles from 1 in the pair (Ka, Kb), then K = scale
+    pair = [("Ka", 1.0), ("Kb", 1.0)]
+    yield [(0, 0.0, [("y", 1.0)]), ("Ka", 1.0, []), ("Kb", 1.0, [])]
+    for _ in range(int(math.log2(scale)) - 1):
+        yield [copy(0), ("Ka", 0.0, pair), ("Kb", 0.0, pair)]
+    yield [copy(0), ("K", 0.0, pair)]
+    yield (
+        [copy(0)]
+        + [ramp(t) for t in range(1, held + 1)]
+        + [(("d", t), 0.0, ramp(t)[2]) for t in range(1, held + 1)]
+        + [copy("K")] * (m >= 3)
+    )
+    # level 2: N_2(y - j) = rho(y - j) - rho(y - j - 1) - ("d", j + 1), clipped
+    hats = [[(j, 1.0), (j + 1, -1.0), (("d", j + 1), -1.0)] for j in range(held)]
+    yield [(("v", j), 0.0, terms) for j, terms in enumerate(hats)] + tail(1)
+    values = lambda j: [("v", j)]
     for k in range(2, m):
-        cores, carry = 2 * (held - 1), 2 * (k < m - 1)
-        steps = multiply_refinement_steps(1.0, _product_tol(m, k, eps))
-        yield from [4 * cores + carry] + [5 * cores + carry] * steps
+        core = multiply_network(1.0, _product_tol(m, k, eps)).layers
+        cores = [(j, side) for j in range(held - 1) for side in (0, 1)]
+        carried = [copy(0), copy("K")] if k < m - 1 else []
         held -= 1
-        yield cores + tail(k)
-    yield shifts
+        for ell, layer in enumerate(core):
+            rows = []
+            for j, side in cores:
+                if ell == 0:
+                    # x = c/k beside N_k(y - j), (k+1)/k - c/k beside N_k(y - j - 1)
+                    sign = 1.0 - 2.0 * side
+                    inputs = [
+                        [(j, sign / k), (j + k + 1, -sign / k)],
+                        [(v, 1.0) for v in values(j + side)],
+                    ]
+                    shift = [side * (k + 1) / k, 0.0]
+                else:
+                    inputs = [[((j, side, c), 1.0)] for c in range(layer.in_dim)]
+                    shift = [0.0] * layer.in_dim
+                for r, (row, b) in enumerate(zip(layer.matrix, layer.bias)):
+                    terms = [
+                        (v, a * w) for a, vs in zip(row, inputs) if a for v, w in vs
+                    ]
+                    rows.append(((j, side, r), b + row @ shift, terms))
+            yield rows + (tail(k) if ell == len(core) - 1 else carried)
+        values = lambda j: [(j, 0, 0), (j, 1, 0)]
+    yield [(j, 0.0, [(v, 1.0) for v in values(j)]) for j in range(shifts)]
 
 
 def _de_boor_pyramid(
@@ -161,87 +189,28 @@ def _de_boor_pyramid(
     each N_k(y - j) is exactly 0: level 2 by monotone rounding, and later
     levels because multiply(x, 0) == 0 bitwise.
 
-    The dense weights the pyramid would hold are counted from (m, shifts,
-    eps) first, and more than MAX_DENSE_ENTRIES is refused with ValueError.
+    A first pass over `_pyramid_layers` counts the dense weights, the sum of
+    rows x previous rows, and refuses more than MAX_DENSE_ENTRIES with
+    ValueError before any matrix exists; a second pass builds.
     """
+    tol = eps / budget
     dense, previous = 0, 1
-    for rows in _pyramid_rows(m, shifts, eps / budget):
-        dense, previous = dense + rows * previous, rows
+    for rows in _pyramid_layers(m, shifts, tol):
+        dense, previous = dense + len(rows) * previous, len(rows)
         if dense > MAX_DENSE_ENTRIES:
             raise ValueError(
                 f"order m = {m} is too large for eps = {eps}: its de Boor "
                 f"pyramid holds more than MAX_DENSE_ENTRIES = "
                 f"{MAX_DENSE_ENTRIES:,} dense weights"
             )
-    eps /= budget
-    top = shifts + m - 1
-    held = shifts + m - 2
-    scale = _pow2_ceil(top)
-    layers = []
-    keys = {"y": 0}
-
-    def emit(rows):  # rows of (key, bias, [(key in the previous layer, weight)])
-        nonlocal keys
+    layers, keys = [], {"y": 0}
+    for rows in _pyramid_layers(m, shifts, tol):
         mat = np.zeros((len(rows), len(keys)))
         for i, (_, _, terms) in enumerate(rows):
             for src, w in terms:
                 mat[i, keys[src]] = w
         layers.append(AffineLayer(mat, [b for _, b, _ in rows]))
         keys = {key: i for i, (key, _, _) in enumerate(rows)}
-
-    copy = lambda key: (key, 0.0, [(key, 1.0)])
-    ramp = lambda t: (t, 0.0, [(0, 1.0), ("K", -t / scale)])  # rho(y - t)
-
-    def tail(k):  # the ramps of level k + 1 and the K it carries on
-        if k >= m - 1:
-            return []
-        knots = itertools.chain(*_clamp_knots(k + 1, held, top))
-        carry = [copy("K")] * (k < m - 2)
-        return [copy(0) if t == 0 else ramp(t) for t in knots] + carry
-
-    # ramp 0 is rho(y); K doubles from 1 in the pair (Ka, Kb), then K = scale
-    pair = [("Ka", 1.0), ("Kb", 1.0)]
-    emit([(0, 0.0, [("y", 1.0)]), ("Ka", 1.0, []), ("Kb", 1.0, [])])
-    for _ in range(int(math.log2(scale)) - 1):
-        emit([copy(0), ("Ka", 0.0, pair), ("Kb", 0.0, pair)])
-    emit([copy(0), ("K", 0.0, pair)])
-    emit(
-        [copy(0)]
-        + [ramp(t) for t in range(1, held + 1)]
-        + [(("d", t), 0.0, ramp(t)[2]) for t in range(1, held + 1)]
-        + [copy("K")] * (m >= 3)
-    )
-    # level 2: N_2(y - j) = rho(y - j) - rho(y - j - 1) - ("d", j + 1), clipped
-    hats = [[(j, 1.0), (j + 1, -1.0), (("d", j + 1), -1.0)] for j in range(held)]
-    emit([(("v", j), 0.0, terms) for j, terms in enumerate(hats)] + tail(1))
-    values = lambda j: [("v", j)]
-    for k in range(2, m):
-        core = multiply_network(1.0, _product_tol(m, k, eps)).layers
-        cores = [(j, side) for j in range(held - 1) for side in (0, 1)]
-        carried = [copy(0), copy("K")] if k < m - 1 else []
-        held -= 1
-        for ell, layer in enumerate(core):
-            rows = []
-            for j, side in cores:
-                if ell == 0:
-                    # x = c/k beside N_k(y - j), (k+1)/k - c/k beside N_k(y - j - 1)
-                    sign = 1.0 - 2.0 * side
-                    inputs = [
-                        [(j, sign / k), (j + k + 1, -sign / k)],
-                        [(v, 1.0) for v in values(j + side)],
-                    ]
-                    shift = [side * (k + 1) / k, 0.0]
-                else:
-                    inputs = [[((j, side, c), 1.0)] for c in range(layer.in_dim)]
-                    shift = [0.0] * layer.in_dim
-                for r, (row, b) in enumerate(zip(layer.matrix, layer.bias)):
-                    terms = [
-                        (v, a * w) for a, vs in zip(row, inputs) if a for v, w in vs
-                    ]
-                    rows.append(((j, side, r), b + row @ shift, terms))
-            emit(rows + (tail(k) if ell == len(core) - 1 else carried))
-        values = lambda j: [(j, 0, 0), (j, 1, 0)]
-    emit([(j, 0.0, [(v, 1.0) for v in values(j)]) for j in range(shifts)])
     return ReluNetwork(tuple(layers))
 
 
@@ -346,16 +315,17 @@ def spline_wavelet_network(m: int, eps: float) -> ReluNetwork:
     if m < 1:
         raise ValueError("order must be a positive integer")
     _check_eps(eps)
+    # each merged entry below is one product: the dilation 2 (or shift j)
+    # times a first-layer entry of at most 1, or q_n times an output row's
+    # weight 1, and output rows read disjoint rows, so compose merges
     if m == 1:
         terms = [
-            precompose_affine(bspline_network(1, eps / 2.0), [[2.0]], [-float(j)])
+            compose(bspline_network(1, eps / 2.0), network([([[2.0]], [-float(j)])]))
             for j in range(2)
         ]
         return linear_combination_shared(terms, spline_wavelet_coeffs(1))
-    net = precompose_affine(_de_boor_pyramid(m, 3 * m - 1, eps, 2.0), [[2.0]], [0.0])
-    q = np.array([spline_wavelet_coeffs(m)])
-    last = net.layers[-1]
-    return ReluNetwork(net.layers[:-1] + (AffineLayer(q @ last.matrix, q @ last.bias),))
+    net = compose(_de_boor_pyramid(m, 3 * m - 1, eps, 2.0), network([([[2.0]], [0.0])]))
+    return compose(network([([spline_wavelet_coeffs(m)], [0.0])]), net)
 
 
 def haar_mother_network(eps: float) -> ReluNetwork:

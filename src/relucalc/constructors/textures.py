@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..calculus import compose, scale_output, sum_finite_width
-from ..core import ReluNetwork, _check_eps
+from ..calculus import compose, sum_finite_width
+from ..core import ReluNetwork, _check_eps, network
 from .algebra import _product
 from .smooth import SmoothDescriptor, ToleranceError, smooth_network_general
 from .trig import cosine_network
@@ -97,7 +97,12 @@ def weierstrass_network(
     d = float(half_width)
     try:
         terms = [
-            scale_output(cosine_network(a ** k * math.pi, d, eps_k), p ** k)
+            # each merged entry is the one product p^k w, no larger than w,
+            # so compose merges the scale into the last layer
+            compose(
+                network([([[p ** k]], [0.0])]),
+                cosine_network(a ** k * math.pi, d, eps_k),
+            )
             for k, eps_k in enumerate(_weierstrass_tolerances(p, eps))
         ]
     except ToleranceError:

@@ -12,11 +12,10 @@ import math
 from ..calculus import (
     affine_network,
     compose,
-    precompose_affine,
     reduce_weights,
     scalar_mult_network,
 )
-from ..core import AffineLayer, ReluNetwork, _check_eps
+from ..core import AffineLayer, ReluNetwork, _check_eps, network
 from .algebra import sawtooth_network
 from .smooth import MAX_DEGREE, SmoothDescriptor, ToleranceError, smooth_network
 
@@ -95,7 +94,9 @@ def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
         net = compose(core, affine_network([[a_eff / math.pi]], [0.0]))
     net = compose(scalar_mult_network(1.0 / _COS_SCALE), net)
     if d > 1.0:
-        net = precompose_affine(net, [[1.0 / d]], [0.0])
+        # each merged entry is the one product w / d, no larger than w, so
+        # compose merges the scale into the first layer
+        net = compose(net, network([([[1.0 / d]], [0.0])]))
     return net
 
 

@@ -304,8 +304,8 @@ def test_criterion_12_depth_width():
 
     # witness: the deep cosine construction realizes more linear pieces than
     # any depth-3 network of width (log2 a)^2 could, per the piece bound
-    # (2 * width) ** depth.  The full region count (~4e8) is certified from
-    # one tile: the sawtooth fold maps each dyadic tile affinely onto [0, 1],
+    # (2 * width) ** depth.  The full region count is certified from one
+    # tile: the sawtooth fold maps each dyadic tile affinely onto [0, 1],
     # so every full tile carries an identical piece count (spot-checked), and
     # disjoint tiles contribute disjoint interior slope changes.
     a, eps = 2.0 ** 14, 1e-3

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from relucalc import (
     DimensionError,
     analysis,
+    compose,
     evaluate_batch,
     network,
     parallelize_shared,
-    scale_output,
 )
 from relucalc.analysis import (
     ResolutionError,
@@ -261,7 +261,7 @@ def test_error_report_rejects_several_outputs():
     # output 1 is 5x^2 and misses x^2 by 4 at x = 1; reading output 0 alone
     # would report the squaring error only
     sq = square_network(1e-2)
-    net = parallelize_shared([sq, scale_output(sq, 5.0)])
+    net = parallelize_shared([sq, compose(network([([[5.0]], [0.0])]), sq)])
     with pytest.raises(DimensionError, match="one-output"):
         error_report(net, lambda x: x * x, (0.0, 1.0), 1001)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relucalc import (
     AffineLayer,
@@ -93,13 +93,27 @@ def sparse_nets(draw, in_dim, out_dim):
     return network(layers)
 
 
-@given(st.data())
+@st.composite
+def composable(draw):
+    """(outer, inner) with narrow interfaces between wide layers, where a
+    merge can grow."""
+    dims = [draw(st.integers(1, 3)) for _ in range(3)]
+    inner = draw(sparse_nets(dims[0], dims[1]))
+    return draw(sparse_nets(dims[1], dims[2])), inner
+
+
+# subnormal outer weights: the relative bound alone underflows to 0 here
+SUBNORMAL = (
+    network([([[2.2e-313, 6.6e-313, -2.2e-313]], [0.0])]),
+    network([(np.full((n, m), 0.5), np.zeros(n)) for m, n in [(2, 6), (6, 3)]]),
+)
+
+
+@given(composable(), st.integers(0, 2**32 - 1))
+@example(SUBNORMAL, 0)
 @settings(max_examples=150, deadline=None)
-def test_compose_is_no_larger_than_the_sparse_joint(data):
-    # narrow interfaces between wide layers are where a merge can grow
-    dims = [data.draw(st.integers(1, 3)) for _ in range(3)]
-    inner = data.draw(sparse_nets(dims[0], dims[1]))
-    outer = data.draw(sparse_nets(dims[1], dims[2]))
+def test_compose_is_no_larger_than_the_sparse_joint(nets, seed):
+    outer, inner = nets
     joint = _sparse_joint(outer, inner)
     composed = compose(outer, inner)
     assert composed == joint or composed.depth == joint.depth - 1
@@ -113,13 +127,27 @@ def test_compose_is_no_larger_than_the_sparse_joint(data):
     # value and gamma = (width + 2) 2^-53; the merged weights add one more
     # gamma S, so the two differ by (2 L + 1) gamma S to first order, and
     # 2 L + 2 covers the higher-order terms.
-    seed = data.draw(st.integers(0, 2**32 - 1))
+    # Gradual underflow adds up to eta = 2^-1075 to each product besides
+    # its relative error.  A layer's sums then gain at most width eta each,
+    # and a merged weight, a sum of at most width products, carries
+    # width eta, which its inputs h turn into width eta (1 + sum h).  Carried
+    # through the later layers these stay below eta (T - S), T being the
+    # joint's value with width added to every |weight| and |bias|, so the
+    # two networks differ by at most 2 eta T more; (2 L + 2) eta T is ample,
+    # and (L + 1) T 2^-1074 is that on the subnormal grid.
     xs = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(16, inner.in_dim))
-    size = ReluNetwork(
-        tuple(AffineLayer(abs(l.matrix), abs(l.bias)) for l in joint.layers)
-    )
-    gamma = (mj.width + 2) * 2.0**-53
-    bound = (2 * mj.depth + 2) * gamma * evaluate_batch(size, np.abs(xs))
+    w = mj.width
+
+    def value(shift):  # the joint on |x| with |weight| + shift, |bias| + shift
+        layers = (
+            AffineLayer(abs(l.matrix) + shift, abs(l.bias) + shift)
+            for l in joint.layers
+        )
+        return evaluate_batch(ReluNetwork(tuple(layers)), np.abs(xs))
+
+    gamma = (w + 2) * 2.0**-53
+    bound = (2 * mj.depth + 2) * gamma * value(0.0)
+    bound += (mj.depth + 1) * value(w) * 2.0**-1074
     diff = np.abs(evaluate_batch(composed, xs) - evaluate_batch(joint, xs))
     assert np.all(diff <= bound)
 
@@ -429,6 +457,34 @@ def test_sum_random_nets():
         assert metrics(total).width <= 2 * d + 2 * d_out + max(
             2 * d, max(metrics(n).width for n in nets)
         )
+
+
+@st.composite
+def summands(draw):
+    """1 to 4 sparse networks of one input and output shape, weights up to 2."""
+    d, d_out = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return draw(st.lists(sparse_nets(d, d_out), min_size=1, max_size=4))
+
+
+@given(summands())
+@settings(max_examples=100, deadline=None)
+def test_shared_input_and_finite_width_joins_always_merge(nets):
+    # with weights up to 2, merged entries above 1 occur; each join still
+    # has one nonzero product per merged sum, so none adds a layer
+    depth = max(n.depth for n in nets)
+    par = parallelize_shared(nets)
+    assert par.depth == depth
+    padded = [n if n.depth == depth else extend_depth(n, depth) for n in nets]
+    # == on floats, so a signed zero equals its opposite
+    first = par.layers[0]
+    matrix = np.vstack([n.layers[0].matrix for n in padded])
+    bias = np.concatenate([n.layers[0].bias for n in padded])
+    assert np.array_equal(first.matrix, matrix) and np.array_equal(first.bias, bias)
+    # a later depth-1 summand is added onto the running total inside one
+    # merged sum, where compose may keep the sparse joint; skip those
+    deep = nets[:1] + [n for n in nets[1:] if n.depth > 1]
+    total = sum_finite_width(deep)
+    assert total.depth == sum(n.depth for n in deep) - (len(deep) - 1)
 
 
 # --- prune ------------------------------------------------------------------------

@@ -79,7 +79,7 @@ DIGESTS = {
     "cutoff1": "8853db51f967ea8df9d4eb2d038a20c683c2b39dbacef8162ffbe3eb5584a2c7",
     "cutoff2": "d79324a21f2f4a9fc2e195fce98a83322ddad5eedb8d84a40e15bd967f054ac6",
     "cutoff3": "0394ac9c5ca52a9004111e078d7716fc44305b4e2293c0c9124c9f0a93102da5",
-    "stitch": "6844c61afa25cee3e1f8612b72047566cbf56f359a153b8feb30078db94780ce",
+    "stitch": "4eddbfa7b9995b841498f989cde441425187259efc0d24c765e6886594039b96",
     "smooth_general": "816f01c591a7b9c6e1adb07e7c5970762e5d4f0b2c2a783c70a154f14883edbe",
     "modulated_re": "922ee9718ebc63d0e66740482864e4cc47c1ef2b77bea7d7f33c6a607f4c7c42",
     "modulated_im": "bba620f6dc55cfd93a43d001eab126e4c631301d6413553a92cb0a4b2c61b0ac",

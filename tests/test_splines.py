@@ -22,10 +22,11 @@ from relucalc.constructors import (
     spline_wavelet_reference,
     square_network,
 )
+from relucalc.constructors import splines
 from relucalc.constructors.splines import (
     MAX_DENSE_ENTRIES,
     _de_boor_pyramid,
-    _pyramid_rows,
+    _pyramid_layers,
     _truncated_power_sum,
 )
 
@@ -246,9 +247,16 @@ def test_bspline_network_meets_eps_at_high_order(m, eps):
 @pytest.mark.parametrize(
     "m, shifts, eps", [(2, 1, 1e-2), (3, 1, 1e-3), (4, 11, 1e-2), (7, 2, 1e-4)]
 )
-def test_pyramid_rows_predict_the_built_dims(m, shifts, eps):
+def test_pyramid_rows_predict_the_built_dims(m, shifts, eps, monkeypatch):
+    # the counting pass counts exactly the built network's dense weights, the
+    # sum of rows x previous rows: a cap of that many builds, one less refuses
     net = _de_boor_pyramid(m, shifts, eps)
-    assert list(_pyramid_rows(m, shifts, eps)) == list(net.dims[1:])
+    dense = sum(a * b for a, b in zip(net.dims[1:], net.dims))
+    monkeypatch.setattr(splines, "MAX_DENSE_ENTRIES", dense)
+    assert _de_boor_pyramid(m, shifts, eps) == net
+    monkeypatch.setattr(splines, "MAX_DENSE_ENTRIES", dense - 1)
+    with pytest.raises(ValueError, match=f"order m = {m} is too large"):
+        _de_boor_pyramid(m, shifts, eps)
 
 
 def test_pyramid_shifts_are_the_shifted_bspline():
@@ -273,7 +281,7 @@ def test_bspline_network_refuses_an_oversized_pyramid_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    rows = list(_pyramid_rows(60, 1, 1e-2))
+    rows = [len(layer) for layer in _pyramid_layers(60, 1, 1e-2)]
     assert sum(a * b for a, b in zip(rows, [1] + rows)) > MAX_DENSE_ENTRIES
 
 
