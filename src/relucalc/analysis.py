@@ -148,6 +148,62 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     return PwlFunction(grid, vals[plan.out_rows[0]])
 
 
+# widenings of the search interval after which dead_rows gives up on R
+_MAX_WIDENINGS = 40
+
+
+def dead_rows(net: ReluNetwork, interval=None) -> list[tuple[int, int]]:
+    """The (layer, row) pairs of the hidden rows of a 1-in 1-out network
+    whose pre-activation is <= 0 at every breakpoint of the layer before it,
+    on [a, b] or, with interval None, on all of R.
+
+    The breakpoints are exact_pwl's, and each pre-activation is the
+    column-sequential sum of the evaluation contract, so it is bitwise the
+    evaluator's.  On R the search interval starts at [-1, 1] and widens
+    until every row's zero crossings lie strictly inside it; the end pieces
+    then carry the slopes out to +-inf, and a row counts as dead when it is
+    <= 0 at every breakpoint and falls away from both ends.
+
+    This is a test oracle, not a float proof: BREAK_MERGE_TOL merges
+    breakpoints, so a row positive only between two merged points reads as
+    dead.  Raises ResolutionError when R needs more than _MAX_WIDENINGS
+    widenings, or where exact_pwl would.
+    """
+    if net.in_dim != 1 or net.out_dim != 1:
+        raise DimensionError("dead rows are found for 1-D networks only")
+    a, b = (-1.0, 1.0) if interval is None else _interval(interval)
+    for _ in range(_MAX_WIDENINGS):
+        grid = np.array([a, b])
+        h, dead, outside = grid.reshape(1, -1), [], []
+        for ell, layer in enumerate(net.layers[:-1]):
+            pre = np.zeros((layer.out_dim, grid.size))
+            for j, column in enumerate(layer.matrix.T):
+                pre += column[:, None] * h[j]
+            pre += layer.bias[:, None]
+            down = np.all(pre <= 0.0, axis=1)
+            if interval is None:
+                for end, inner in ((0, 1), (-1, -2)):
+                    p = pre[:, end]
+                    gap = grid[end] - grid[inner]  # < 0 at a, > 0 at b
+                    rise = (p - pre[:, inner]) / abs(gap)  # per unit outward
+                    # a crossing at or beyond this end
+                    cross = (rise != 0.0) & ((p == 0.0) | ((p > 0.0) != (rise > 0.0)))
+                    outside.extend(grid[end] - np.sign(gap) * p[cross] / rise[cross])
+                    down &= rise <= 0.0
+                if outside:
+                    break
+            dead.extend((ell, int(row)) for row in np.flatnonzero(down))
+            grid, h = _relu_pass(grid, pre)
+        if not outside:
+            return dead
+        span = b - a
+        a, b = min(a, min(outside) - span), max(b, max(outside) + span)
+    raise ResolutionError(
+        f"zero crossings still outside [{a:g}, {b:g}] after "
+        f"{_MAX_WIDENINGS} widenings"
+    )
+
+
 def count_linear_regions(
     net: ReluNetwork, interval: tuple[float, float]
 ) -> tuple[int, int]:

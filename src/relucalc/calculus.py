@@ -232,6 +232,13 @@ def scalar_mult_network(a: float, dim: int = 1) -> ReluNetwork:
     traded for depth floor(log2|a|) + 4 via repeated doubling of the pair
     (rho(x), rho(-x)).
     """
+    return _scalar_mult(a, dim, nonnegative=False)
+
+
+def _scalar_mult(a: float, dim: int, nonnegative: bool) -> ReluNetwork:
+    """scalar_mult_network(a, dim); with nonnegative, for an input that is
+    >= 0 in floats, it omits the minus channel m: rho(-x) = 0 exactly, and
+    each doubling then keeps p == q bitwise, so m' = rho(-p + q + m) = 0."""
     if not math.isfinite(a):
         raise ValueError("scale must be finite")
     if abs(a) <= 1.0:
@@ -239,20 +246,17 @@ def scalar_mult_network(a: float, dim: int = 1) -> ReluNetwork:
     # 2**k <= |a| < 2**(k+1), exactly
     k = math.frexp(a)[1] - 1
     alpha = a * 2.0 ** (-(k + 1))
-    one_dim = ReluNetwork(
-        (
-            AffineLayer([[1.0], [-1.0]], [0.0, 0.0]),
-            AffineLayer([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [0.0, 0.0, 0.0]),
-        )
-        + (
-            AffineLayer(
-                [[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]],
-                [0.0, 0.0, 0.0],
-            ),
-        )
-        * (k + 1)
-        + (AffineLayer([[alpha, 0.0, -alpha]], [0.0]),)
-    )
+    # channels p = rho(x), q = rho(x) + rho(-x) and m = rho(-x)
+    keep = [0, 1] if nonnegative else [0, 1, 2]
+    pm = np.array([[1.0], [-1.0]])[keep[:-1]]
+    double = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+    layers = [
+        (pm, np.zeros(len(pm))),
+        (np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])[keep][:, : len(pm)], np.zeros(len(keep))),
+    ]
+    layers += [(double[keep][:, keep], np.zeros(len(keep)))] * (k + 1)
+    layers.append((np.array([[alpha, 0.0, -alpha]])[:, keep], [0.0]))
+    one_dim = network(layers)
     if dim == 1:
         return one_dim
     return parallelize([one_dim] * dim)
@@ -272,6 +276,12 @@ def reduce_weights(net: ReluNetwork) -> ReluNetwork:
     hidden activations positively scaled copies of the originals; a final
     scalar multiplication by B**L restores the output.
     """
+    return _reduce_weights(net, nonnegative=False)
+
+
+def _reduce_weights(net: ReluNetwork, nonnegative: bool) -> ReluNetwork:
+    """reduce_weights(net); nonnegative states that net's output is >= 0 in
+    floats, and so is the scaled one, which the rescale then reads."""
     b = max(_magnitude(layer) for layer in net.layers)
     if b <= 1.0:
         return net
@@ -283,15 +293,19 @@ def reduce_weights(net: ReluNetwork) -> ReluNetwork:
         raise OverflowError(
             f"weight magnitude {b} at depth {net.depth} overflows the rescale factor"
         )
-    return compose(scalar_mult_network(a, net.out_dim), ReluNetwork(tuple(scaled)))
+    rescale = _scalar_mult(a, net.out_dim, nonnegative)
+    return compose(rescale, ReluNetwork(tuple(scaled)))
 
 
 def sum_finite_width(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     """sum_i Phi_i(x) with width independent of the number of summands.
 
-    Each summand runs in its own depth segment while two identity channel
-    groups carry the input forward and the running total backward, so the
-    width stays within 2d + 2d' + max(2d, max_i width_i).
+    Each summand of depth >= 2 runs in its own depth segment while two
+    identity channel groups carry the input forward and the running total
+    backward, so the width stays within 2d + 2d' + max(2d, max_i width_i).
+    The summands of depth 1 are affine: their sum is the total that the
+    first layer starts, so the depth is sum_i depth_i - (n - 1) for any mix
+    of depths.  Without them the first segment has no total to carry.
     """
     if not nets:
         raise ValueError("sum_finite_width needs at least one network")
@@ -299,29 +313,46 @@ def sum_finite_width(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     d_out = nets[0].out_dim
     if any(n.in_dim != d or n.out_dim != d_out for n in nets):
         raise DimensionError("sum_finite_width needs equal input and output dims")
+    flat = [n.layers[0] for n in nets if n.depth == 1]
+    deep = [n for n in nets if n.depth > 1]
+    start = [
+        (sum(f.matrix for f in flat), sum(f.bias for f in flat))
+    ] if flat else []
+    if not deep:
+        return network(start)
 
-    a_in = np.vstack([np.eye(d), np.zeros((d_out, d)), np.eye(d)])
-    mid = np.zeros((2 * d + d_out, d + 2 * d_out))
-    mid[:d, :d] = np.eye(d)
-    mid[d : d + d_out, d : d + d_out] = np.eye(d_out)
-    mid[d : d + d_out, d + d_out :] = np.eye(d_out)
-    mid[d + d_out :, :d] = np.eye(d)
-    a_out = np.hstack([np.zeros((d_out, d)), np.eye(d_out), np.eye(d_out)])
-
-    # A segment's block is block-diagonal over three channel groups (input,
+    # A segment's block is block-diagonal over its channel groups (input,
     # total, summand), and a_in, mid and a_out hold at most one 1 per group
     # in each row and column, so every merged sum below has one nonzero
     # product and compose merges into the block's own entries.
-    total = network([(a_in, np.zeros(len(a_in)))])
-    for i, sub in enumerate(nets):
+    eye_d, eye_o = np.eye(d), np.eye(d_out)
+    skip = np.zeros((d, d_out))
+    total = network(
+        [
+            (
+                np.vstack([eye_d] + [m for m, _ in start] + [eye_d]),
+                np.concatenate([np.zeros(d)] + [b for _, b in start] + [np.zeros(d)]),
+            )
+        ]
+    )
+    for i, sub in enumerate(deep):
+        carried = bool(start) or i > 0  # a total so far
         block = parallelize(
-            [
-                identity_network(d, sub.depth),
-                identity_network(d_out, sub.depth),
-                sub,
-            ]
+            [identity_network(d, sub.depth)]
+            + [identity_network(d_out, sub.depth)] * carried
+            + [sub]
         )
-        post = a_out if i == len(nets) - 1 else mid
+        on_total = [eye_o] * carried
+        if i == len(deep) - 1:
+            post = np.hstack([np.zeros((d_out, d))] + on_total + [eye_o])
+        else:
+            post = np.vstack(
+                [
+                    np.hstack([eye_d] + [skip] * (carried + 1)),
+                    np.hstack([np.zeros((d_out, d))] + on_total + [eye_o]),
+                    np.hstack([eye_d] + [skip] * (carried + 1)),
+                ]
+            )
         segment = compose(network([(post, np.zeros(len(post)))]), block)
         total = compose(segment, total)
     return total

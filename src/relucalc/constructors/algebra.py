@@ -12,6 +12,7 @@ monomial chain.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -29,16 +30,24 @@ def sawtooth_network(s: int) -> ReluNetwork:
     """Width-3 network realizing the s-fold composition of the tent map on [0,1].
 
     Depth is s+1 and the output has exactly 2**s linear pieces on [0,1].
+
+    Layer l >= 1 holds rho(g), rho(g - 1/2) and rho(g - 1) of the l-th tent
+    value g = 2 rho(v) - 4 rho(v - 1/2) + 2 rho(v - 1).  For |v| < 2**52
+    every step of g is exact, so g = tent(v) lies in [0, 1]; for larger v
+    the rounded g is one of -4, -2, 0 and 2.  So g is exact and at most 1
+    from the second tent on, and from layer 2 on the row rho(g - 1) is 0
+    exactly and left out.
     """
     if s < 1:
         raise ValueError("order must be a positive integer")
-    w_in = AffineLayer([[1.0], [1.0], [1.0]], [0.0, -0.5, -1.0])
-    w_mid = AffineLayer(
-        [[2.0, -4.0, 2.0], [2.0, -4.0, 2.0], [2.0, -4.0, 2.0]],
-        [0.0, -0.5, -1.0],
-    )
-    w_out = AffineLayer([[2.0, -4.0, 2.0]], [0.0])
-    return ReluNetwork((w_in,) + (w_mid,) * (s - 1) + (w_out,))
+    mid = np.array([[2.0, -4.0, 2.0]] * 3)
+    rows = [3] * min(s, 2) + [2] * (s - 2)  # rows of layers 0, ..., s - 1
+    layers = [AffineLayer([[1.0], [1.0], [1.0]], [0.0, -0.5, -1.0])]
+    for ell in range(1, s):
+        cut = mid[: rows[ell], : rows[ell - 1]]
+        layers.append(AffineLayer(cut, [0.0, -0.5, -1.0][: rows[ell]]))
+    layers.append(AffineLayer(mid[:1, : rows[-1]], [0.0]))
+    return ReluNetwork(tuple(layers))
 
 
 def square_refinement_steps(eps: float) -> int:
@@ -109,11 +118,25 @@ _MULT_MID = np.array(
 )
 _MULT_OUT = np.array([-0.5, 0.5, 1.0, -1.0, 1.0])
 
+# The multiplier on y = x: its input rows rho(+-(x - y)/2D) have the weights
+# a/D - a/D = 0 and bias 0, and the channels s2 and h2 read only them (with
+# bias 0 and -1/2) or each other, so all of them are 0 exactly and left
+# out.  _SQUARE_IN keeps the input rows on (x + y)/2D, _SQUARE the channels
+# (s1, h1, acc).
+_SQUARE_IN = [0, 1]
+_SQUARE = [0, 2, 4]
 
-def _mult_mid_bias(ell: int) -> np.ndarray:
-    """Bias of the multiplier's refinement layer ell (3 <= ell <= m + 1)."""
+
+@cache
+def _mult_layer(ell: int, rows: tuple, cols: tuple) -> AffineLayer:
+    """Layer ell (2 <= ell <= m + 1) of the multiplier at D = 1, restricted
+    to the given channels and the given rows of the layer before."""
+    rows, cols = list(rows), list(cols)
+    if ell == 2:
+        return AffineLayer(_MULT_SPLIT[rows][:, cols], _MULT_SPLIT_BIAS[rows])
     step = 2.0 ** (-2 * ell + 3)
-    return np.array([0.0, 0.0, -step, -step, 0.0])
+    bias = np.array([0.0, 0.0, -step, -step, 0.0])
+    return AffineLayer(_MULT_MID[rows][:, cols], bias[rows])
 
 
 def multiply_network(half_width: float, eps: float) -> ReluNetwork:
@@ -126,19 +149,33 @@ def multiply_network(half_width: float, eps: float) -> ReluNetwork:
     by D**2.  Width stays at 5, weights at 1, and the output vanishes exactly
     when either input is zero.
     """
+    return _multiplier(half_width, eps, range(4), range(5), _MULT_IN)
+
+
+def _square_network(half_width: float, eps: float) -> ReluNetwork:
+    """multiply_network(half_width, eps) on the diagonal y = x, as a network
+    of x: it reads x with the weights (a + a)/D of the merged fan-out and
+    holds only the nonzero rows (see _SQUARE)."""
+    first = (_MULT_IN[:, :1] + _MULT_IN[:, 1:])[_SQUARE_IN]
+    return _multiplier(half_width, eps, _SQUARE_IN, _SQUARE, first)
+
+
+def _multiplier(half_width, eps, rows, chans, first) -> ReluNetwork:
+    """The multiplier with the given input rows and channels, on the inputs
+    that the first layer's matrix reads."""
     d = max(1.0, float(half_width))
     m = multiply_refinement_steps(half_width, eps)
-    layers = [AffineLayer(_MULT_IN / d, np.zeros(4))]
+    rows, chans = tuple(rows), tuple(chans)
+    layers = [AffineLayer(first / d, np.zeros(len(rows)))]
     # The accumulator acc carries the signed branch difference shifted by +1
     # so it never hits the ReLU clip (the difference of the two partial
     # squares lies in [-1, 1]); the final bias removes the shift.
     # Interleaving the branch columns makes equal branch values cancel term
     # by term under the column-sequential evaluation order, which is what
     # makes multiply(x, 0) == multiply(0, x) == 0 hold bitwise.
-    layers.append(AffineLayer(_MULT_SPLIT, _MULT_SPLIT_BIAS))
-    for ell in range(3, m + 2):
-        layers.append(AffineLayer(_MULT_MID, _mult_mid_bias(ell)))
-    layers.append(AffineLayer([_MULT_OUT], [-1.0]))
+    layers.append(_mult_layer(2, chans, rows))
+    layers += [_mult_layer(ell, chans, chans) for ell in range(3, m + 2)]
+    layers.append(AffineLayer([_MULT_OUT[list(chans)]], [-1.0]))
     core = ReluNetwork(tuple(layers))
     if d == 1.0:
         return core
@@ -189,10 +226,25 @@ def polynomial_network(coeffs, half_width: float, eps: float) -> ReluNetwork:
     Stage i (1 <= i < n) is one layer of x+, x-, s'+, s'- (s' = s + c_i z_i)
     beside the multiplier's input rows on (x/d, z_i), then the multiplier's
     m_i = multiply_refinement_steps(1, eta / (d bound(i))) middle layers
-    beside copies of those four (the last stage drops x+ and x-).  Each
-    multiplier's output row merges into the next layer, and one output layer
-    gives s + c_n z_n, so the depth is sum_i (m_i + 1) + 1, plus
-    scalar_mult_network(amp).depth - 1 when amp > 1.
+    beside copies of those four (the last stage drops x+ and x-).  Stage 1
+    multiplies x/d by z_1 = x/d, so it holds only the square's rows (see
+    _SQUARE).  Each multiplier's output row merges into the next layer, and
+    one output layer gives s + c_n z_n, so the depth is
+    sum_i (m_i + 1) + 1, plus scalar_mult_network(amp).depth - 1 when
+    amp > 1.
+    """
+    return _polynomial(coeffs, half_width, eps, unit=False)
+
+
+def _polynomial(coeffs, half_width: float, eps: float, unit: bool) -> ReluNetwork:
+    """polynomial_network(coeffs, half_width, eps); with unit, for an input
+    x in [0, 1] in floats that the first layer reads as if raw, each of its
+    weights w rounded once onto x.  Then x- is left out, since its row is
+    rho(-x) = 0 and the rows after it copy it, and so is stage 1's
+    rho(-(x/d + z_1)/2) = rho(-w x) = 0.  Stage 1's s'+-, on
+    s' = c_0 + w x with w = c_1 / d, then drop the one that is 0 since
+    |c_1| <= |c_0|: rounding keeps w x within [-|c_1|, |c_1|].  On any input
+    stage 1 leaves out s'+ and s'- where they are 0 for w = 0.
     """
     coeffs = [float(c) for c in np.atleast_1d(np.asarray(coeffs, dtype=np.float64))]
     if not coeffs:
@@ -212,40 +264,48 @@ def polynomial_network(coeffs, half_width: float, eps: float) -> ReluNetwork:
     amp = _pow2_ceil(max(abs(a) * b for a, b in zip(coeffs, bound)))
     c = [a * b / amp for a, b in zip(coeffs, bound)]
 
-    middle = {}  # (carried rows, ell) -> the multiplier's layer ell beside copies
+    middle = {}  # (carried rows, input rows, channels, ell) -> layer
 
-    def middle_layer(k: int, ell: int) -> AffineLayer:
-        if (k, ell) not in middle:
-            block, bias = (
-                (_MULT_SPLIT, _MULT_SPLIT_BIAS)
-                if ell == 2
-                else (_MULT_MID, _mult_mid_bias(ell))
-            )
-            mat = _block_diag([np.eye(k), block])
-            middle[k, ell] = AffineLayer(mat, np.concatenate([np.zeros(k), bias]))
-        return middle[k, ell]
+    def middle_layer(k: int, ins, chans, ell: int) -> AffineLayer:
+        key = (k, tuple(ins), tuple(chans), ell)
+        if key not in middle:
+            block = _mult_layer(ell, tuple(chans), tuple(ins if ell == 2 else chans))
+            mat = _block_diag([np.eye(k), block.matrix])
+            middle[key] = AffineLayer(mat, np.concatenate([np.zeros(k), block.bias]))
+        return middle[key]
 
     # stage 1 reads x: z_1 = x / d and s = c_0.  x, s and z are linear forms
     # over the previous layer's outputs, bias last.
     x = np.array([1.0, 0.0])
     s = np.array([0.0, c[0]])
     z = x / d
-    carry = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    x_rows = [x, -x][: 2 - unit]  # x+, and x- unless x >= 0
+    ins, chans = ([0] if unit else _SQUARE_IN), _SQUARE
     layers = []
     for i in range(1, degree):
-        k = 4 if i < degree - 1 else 2
         s = s + c[i] * z  # s'
-        mult_in = np.outer(_MULT_IN[:, 0] / d, x) + np.outer(_MULT_IN[:, 1], z)
-        rows = np.vstack([carry[: k - 2], s, -s, mult_in])
+        signs = [1.0, -1.0]  # s'+ and s'-
+        if i == 1:
+            # s' = c_0 + w x: the largest |w x| and the rows it leaves alive
+            w, c0 = s
+            reach = abs(w) if unit or w == 0.0 else math.inf
+            signs = [g for g in signs if g * c0 + reach > 0.0]
+        carry = (x_rows if i < degree - 1 else []) + [g * s for g in signs]
+        mult_in = np.outer(_MULT_IN[ins, 0] / d, x) + np.outer(_MULT_IN[ins, 1], z)
+        rows = np.vstack(carry + [mult_in])
         layers.append(AffineLayer(rows[:, :-1], rows[:, -1]))
         m = multiply_refinement_steps(1.0, eta / (d * bound[i]))
-        layers.extend(middle_layer(k, ell) for ell in range(2, m + 2))
+        k = len(carry)
+        layers.extend(middle_layer(k, ins, chans, ell) for ell in range(2, m + 2))
         # the forms over the next layer's input, (x+, x-, s+, s-, h) or
         # (s+, s-, h) after the last stage, where only s and z are read
         f = d * bound[i] / bound[i + 1]
-        cols = np.eye(k, k + 6)
-        x, s, carry = cols[0] - cols[1], cols[k - 2] - cols[k - 1], cols[:2]
-        z = np.concatenate([np.zeros(k), f * _MULT_OUT, [-f]])
+        cols = np.eye(k, k + len(chans) + 1)
+        x_rows = list(cols[: len(x_rows)])
+        x = sum((g * row for g, row in zip([1.0, -1.0], x_rows)), np.zeros(k + len(chans) + 1))
+        s = sum((g * row for g, row in zip(signs, cols[k - len(signs) : k])), np.zeros(k + len(chans) + 1))
+        z = np.concatenate([np.zeros(k), f * _MULT_OUT[chans], [-f]])
+        ins, chans = [0, 1, 2, 3], [0, 1, 2, 3, 4]
     out = s + c[degree] * z
     layers.append(AffineLayer([out[:-1]], out[-1:]))
     net = ReluNetwork(tuple(layers))

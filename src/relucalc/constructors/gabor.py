@@ -15,15 +15,14 @@ import math
 import numpy as np
 
 from ..calculus import (
+    _scalar_mult,
     affine_network,
     append_relu,
     compose,
-    identity_network,
     linear_combination,
-    scalar_mult_network,
 )
 from ..core import AffineLayer, ReluNetwork, _check_eps
-from .algebra import _pow2_ceil, _product
+from .algebra import _pow2_ceil, _product, _square_network
 from .smooth import SmoothDescriptor, smooth_network_general
 from .splines import _plateau_gate
 from .trig import cosine_network, cosine_shifted_network
@@ -78,7 +77,11 @@ def modulated_network(
 
 
 def _clamp_above(threshold: float) -> ReluNetwork:
-    """Network computing min(u, threshold) for u >= 0 with weights at most 1."""
+    """Network computing min(u, threshold) for u >= 0 with weights at most 1.
+
+    It is rho(u/s) - rho(u/s - threshold/s), scaled back by s: both rows
+    start at the same rounded u/s, so monotone rounding keeps the second at
+    most the first and the difference >= 0, which the rescale reads."""
     s = _pow2_ceil(threshold)
     inv = 1.0 / s
     split = ReluNetwork(
@@ -89,7 +92,7 @@ def _clamp_above(threshold: float) -> ReluNetwork:
     )
     if s == 1.0:
         return split
-    return compose(scalar_mult_network(s), split)
+    return compose(_scalar_mult(s, 1, nonnegative=True), split)
 
 
 def _gaussian_radius(eps: float) -> int:
@@ -179,8 +182,7 @@ def gaussian_network(dim: int, eps: float) -> ReluNetwork:
         )
 
     budget = eps / 4.0
-    ident = identity_network(1)
-    square_1d = _product(ident, ident, outer, budget / dim)
+    square_1d = _square_network(outer, budget / dim)
     sum_squares = linear_combination([square_1d] * dim, [1.0] * dim)
     clamp_at = float(math.ceil(math.log(4.0 / eps)) + 1)
     clamped = compose(_clamp_above(clamp_at), append_relu(sum_squares))
@@ -189,4 +191,8 @@ def gaussian_network(dim: int, eps: float) -> ReluNetwork:
     envelope = compose(exponential, clamped)
 
     gate, amp = _plateau_gate(-float(radius), float(radius), 1.0, dim)
+    # the gate's output is its last hidden row, >= 0, so copy rows carry it
+    # to the envelope's depth, where extend_depth's minus channel would be 0
+    pad = (AffineLayer([[1.0]], [0.0]),) * (envelope.depth - gate.depth)
+    gate = ReluNetwork(gate.layers + pad)
     return _product(envelope, gate, 2.0, budget, amp)

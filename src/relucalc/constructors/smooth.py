@@ -25,7 +25,7 @@ from ..calculus import (
     sum_finite_width,
 )
 from ..core import ReluNetwork, _check_eps, _interval, network
-from .algebra import _product, polynomial_network
+from .algebra import _polynomial, _product
 
 MAX_DEGREE = 40
 WARN_DEGREE = 25
@@ -164,6 +164,11 @@ def smooth_network(f: SmoothDescriptor, eps: float) -> ReluNetwork:
     realized as a polynomial network; width at most 9.  f is trusted-smooth
     or carries a tail bound.  Half of eps goes to the interpolation error,
     half to the polynomial network."""
+    return _smooth_network(f, eps, unit=False)
+
+
+def _smooth_network(f: SmoothDescriptor, eps: float, unit: bool) -> ReluNetwork:
+    """smooth_network(f, eps); unit states what _polynomial's does."""
     m = chebyshev_degree(f, eps)
     expansion = chebyshev_expand(f, m)
     guard = max(abs(c) for c in expansion.coeffs)
@@ -173,7 +178,7 @@ def smooth_network(f: SmoothDescriptor, eps: float) -> ReluNetwork:
             f"'{f.label}' may violate the smoothness precondition",
             stacklevel=2,
         )
-    return polynomial_network(expansion.monomial_coeffs, 1.0, eps / 2.0)
+    return _polynomial(expansion.monomial_coeffs, 1.0, eps / 2.0, unit)
 
 
 def hat_partition_networks(knots) -> list[ReluNetwork]:

@@ -15,11 +15,11 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
-from ..calculus import compose, linear_combination_shared, scalar_mult_network
+from ..calculus import _scalar_mult, compose, linear_combination_shared
 from ..core import AffineLayer, ReluNetwork, _check_eps, network
 from .algebra import _pow2_ceil, multiply_network
 
@@ -98,10 +98,55 @@ def _product_tol(m: int, k: int, eps: float) -> float:
     return eps / ((m - 2) * k)
 
 
+class _Rows:
+    """A layer of `_pyramid_layers` whose rows are made only when it is
+    iterated; its length, the row count, is known without them."""
+
+    def __init__(self, count: int, make):
+        self.count, self.make = count, make
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self.make())
+
+
+def _core_rows(k: int, ell: int, layer: AffineLayer, cores, values, extra) -> list:
+    """Layer ell of level k's multiplier cores, then the extra rows.  Each
+    side-0 core leaves out its input row 1, rho(-(x + y)/2): it reads the
+    values y >= 0 (post-ReLU) first, then the ramps rho(y - j) >=
+    rho(y - j - k - 1) with the weights -+1/2k, so the rounded x + y is
+    >= 0 and the row is 0 exactly."""
+    rows = []
+    for j, side in cores:
+        if ell == 0:
+            # x = c/k beside N_k(y - j), (k+1)/k - c/k beside N_k(y - j - 1)
+            sign = 1.0 - 2.0 * side
+            inputs = [
+                [(j, sign / k), (j + k + 1, -sign / k)],
+                [(v, 1.0) for v in values(j + side)],
+            ]
+            shift = [side * (k + 1) / k, 0.0]
+        else:
+            inputs = [
+                [((j, side, c), 1.0)] * (ell > 1 or side or c != 1)
+                for c in range(layer.in_dim)
+            ]
+            shift = [0.0] * layer.in_dim
+        for r, (row, b) in enumerate(zip(layer.matrix, layer.bias)):
+            if ell == 0 and side == 0 and r == 1:
+                continue
+            terms = [(v, a * w) for a, vs in zip(row, inputs) if a for v, w in vs]
+            rows.append(((j, side, r), b + row @ shift, terms))
+    return rows + extra
+
+
 def _pyramid_layers(m: int, shifts: int, eps: float):
-    """The layers of `_de_boor_pyramid`, in order, each a list of rows
-    (key, bias, terms), where terms are (key of a row of the previous
-    layer, weight) and the input is the key "y"."""
+    """The layers of `_de_boor_pyramid`, in order, each a sized iterable of
+    rows (key, bias, terms), where terms are (key of a row of the previous
+    layer, weight) and the input is the key "y".  The multiplier layers
+    are `_Rows`, so the sizes cost no row."""
     top = shifts + m - 1
     held = shifts + m - 2
     scale = _pow2_ceil(top)
@@ -141,25 +186,10 @@ def _pyramid_layers(m: int, shifts: int, eps: float):
         carried = [copy(0), copy("K")] if k < m - 1 else []
         held -= 1
         for ell, layer in enumerate(core):
-            rows = []
-            for j, side in cores:
-                if ell == 0:
-                    # x = c/k beside N_k(y - j), (k+1)/k - c/k beside N_k(y - j - 1)
-                    sign = 1.0 - 2.0 * side
-                    inputs = [
-                        [(j, sign / k), (j + k + 1, -sign / k)],
-                        [(v, 1.0) for v in values(j + side)],
-                    ]
-                    shift = [side * (k + 1) / k, 0.0]
-                else:
-                    inputs = [[((j, side, c), 1.0)] for c in range(layer.in_dim)]
-                    shift = [0.0] * layer.in_dim
-                for r, (row, b) in enumerate(zip(layer.matrix, layer.bias)):
-                    terms = [
-                        (v, a * w) for a, vs in zip(row, inputs) if a for v, w in vs
-                    ]
-                    rows.append(((j, side, r), b + row @ shift, terms))
-            yield rows + (tail(k) if ell == len(core) - 1 else carried)
+            extra = tail(k) if ell == len(core) - 1 else carried
+            count = len(cores) * layer.out_dim - held * (ell == 0) + len(extra)
+            make = partial(_core_rows, k, ell, layer, cores, values, extra)
+            yield _Rows(count, make)
         values = lambda j: [(j, 0, 0), (j, 1, 0)]
     yield [(j, 0.0, [(v, 1.0) for v in values(j)]) for j in range(shifts)]
 
@@ -189,9 +219,10 @@ def _de_boor_pyramid(
     each N_k(y - j) is exactly 0: level 2 by monotone rounding, and later
     levels because multiply(x, 0) == 0 bitwise.
 
-    A first pass over `_pyramid_layers` counts the dense weights, the sum of
-    rows x previous rows, and refuses more than MAX_DENSE_ENTRIES with
-    ValueError before any matrix exists; a second pass builds.
+    A first pass over `_pyramid_layers` reads only the layer sizes, which
+    cost no multiplier row, and refuses more than MAX_DENSE_ENTRIES dense
+    weights, the sum of rows x previous rows, with ValueError before any
+    matrix exists; a second pass builds.
     """
     tol = eps / budget
     dense, previous = 0, 1
@@ -204,7 +235,7 @@ def _de_boor_pyramid(
                 f"{MAX_DENSE_ENTRIES:,} dense weights"
             )
     layers, keys = [], {"y": 0}
-    for rows in _pyramid_layers(m, shifts, tol):
+    for rows in map(list, _pyramid_layers(m, shifts, tol)):
         mat = np.zeros((len(rows), len(keys)))
         for i, (_, _, terms) in enumerate(rows):
             for src, w in terms:
@@ -233,7 +264,8 @@ def bspline_network(m: int, eps: float) -> ReluNetwork:
     if m > 1:
         return _de_boor_pyramid(m, 1, eps)
     gate, amp = _plateau_gate(0.0, 1.0, eps * eps / 2.0)
-    return compose(scalar_mult_network(amp), gate)
+    # the gate's output is its last hidden row, so the rescale reads x >= 0
+    return compose(_scalar_mult(amp, 1, nonnegative=True), gate)
 
 
 @cache

@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 
 from ..calculus import (
+    _reduce_weights,
     affine_network,
     compose,
-    reduce_weights,
     scalar_mult_network,
 )
 from ..core import AffineLayer, ReluNetwork, _check_eps, network
 from .algebra import sawtooth_network
-from .smooth import MAX_DEGREE, SmoothDescriptor, ToleranceError, smooth_network
+from .smooth import MAX_DEGREE, SmoothDescriptor, ToleranceError, _smooth_network
 
 # 6/pi^3 scales the cosine into the trusted smoothness class: the n-th
 # derivative of (6/pi^3) cos(pi x) is bounded by 6 pi^(n-3) <= n!.
@@ -66,8 +66,12 @@ def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
     # Fold [-D, D] onto [-1, 1]; for D < 1 the unit-interval network already
     # covers the domain.
     a_eff = a * d if d > 1.0 else a
+    # past the first tent the sawtooth's output is exact and in [0, 1] (see
+    # sawtooth_network), so with s >= 2 folds, i.e. ceil(folds) >= 2, the
+    # fold's rescale and the core read x >= 0
+    folds = math.log2(a_eff) - math.log2(math.pi)
     try:
-        core = smooth_network(_COSINE_CORE, _COS_SCALE * eps)
+        core = _smooth_network(_COSINE_CORE, _COS_SCALE * eps, folds > 1.0)
     except ToleranceError:
         # the core runs at 6/pi^3 eps; the refusal names the caller's eps
         raise ToleranceError(
@@ -75,8 +79,8 @@ def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
         ) from None
     if a_eff > math.pi:
         try:
-            s = math.ceil(math.log2(a_eff) - math.log2(math.pi))
-            folded = reduce_weights(sawtooth_network(s))
+            s = math.ceil(folds)
+            folded = _reduce_weights(sawtooth_network(s), s >= 2)
         except OverflowError:
             raise ValueError(
                 f"frequency a = {a} is too large for half-width D = {d}: "

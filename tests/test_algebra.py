@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucalc import evaluate_batch, metrics
-from relucalc.calculus import scalar_mult_network
+from relucalc import compose, evaluate_batch, metrics, network
+from relucalc.calculus import _scalar_mult, parallelize_shared, scalar_mult_network
 from relucalc.constructors import (
     multiply_network,
     multiply_refinement_steps,
@@ -15,7 +15,25 @@ from relucalc.constructors import (
     square_network,
     square_refinement_steps,
 )
+from relucalc.constructors.algebra import _polynomial, _square_network
 from conftest import grid_eval, hat_iterate
+
+# inputs for the exactness checks below: a wide grid, both signs over the
+# whole float range, and the integers just past 2**52, 2**53 and 2**54
+EDGES = np.concatenate(
+    [
+        np.linspace(-9.0, 9.0, 20_001),
+        np.logspace(-320, 300, 3_000),
+        -np.logspace(-320, 300, 3_000),
+        2.0 ** 52 + np.arange(8.0),
+        2.0 ** 53 + 2.0 * np.arange(8.0),
+        2.0 ** 54 + 4.0 * np.arange(8.0),
+    ]
+).reshape(-1, 1)
+
+
+def bitwise(a, b) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # --- sawtooth -------------------------------------------------------------------
@@ -57,6 +75,41 @@ def test_sawtooth_shape():
         assert net.depth == s + 1
         assert m.width == 3
         assert m.weight_magnitude == 4.0
+
+
+def test_first_tent_is_inexact_past_two_to_the_52():
+    # g = 2 rho(v) - 4 rho(v - 1/2) + 2 rho(v - 1) rounds to 2 at odd
+    # v in [2^52, 2^53) and to -2 at even ones: the first tent's rho(g - 1)
+    # stays alive, and one tent's output can be negative
+    odd, even = 2.0 ** 52 + 1, 2.0 ** 52 + 2
+    assert evaluate_batch(sawtooth_network(1), [[odd], [even]])[:, 0].tolist() == [2.0, -2.0]
+    assert evaluate_batch(sawtooth_network(2), odd)[0, 0] == 0.0
+    first, second, _ = sawtooth_network(2).layers
+    without = network(
+        [
+            (first.matrix, first.bias),
+            (second.matrix[:2], second.bias[:2]),
+            ([[2.0, -4.0]], [0.0]),
+        ]
+    )
+    assert evaluate_batch(without, odd)[0, 0] == -2.0
+
+
+def test_sawtooth_leaves_out_the_later_tent_rows():
+    # from the second tent on, g is exact and in [0, 1], so rho(g - 1) is
+    # left out of every layer after the first two
+    net = sawtooth_network(5)
+    assert net.dims == (1, 3, 3, 2, 2, 2, 1)
+    out = evaluate_batch(net, EDGES)[:, 0]
+    assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+@pytest.mark.parametrize("a", [1.5, 4096.0, 100.3, -7.0])
+def test_scalar_mult_on_nonnegative_inputs_drops_the_minus_channel(a):
+    xs = np.abs(EDGES[np.abs(EDGES[:, 0]) < 1e300])
+    full, lean = scalar_mult_network(a), _scalar_mult(a, 1, nonnegative=True)
+    assert lean.depth == full.depth and max(lean.dims) == 2
+    assert bitwise(evaluate_batch(lean, xs), evaluate_batch(full, xs))
 
 
 # --- squaring -------------------------------------------------------------------
@@ -146,6 +199,17 @@ def test_multiply_shape():
         assert m.weight_magnitude <= 1.0
         steps = multiply_refinement_steps(d, eps)
         assert max(d, 1.0) ** 2 * 2.0 ** (-2 * steps - 1) <= eps
+
+
+@pytest.mark.parametrize("d, eps", [(1.0, 1e-2), (5.0, 5e-3), (3.5, 1e-4)])
+def test_square_network_is_the_multiplier_on_the_diagonal(d, eps):
+    ident = network([([[1.0]], [0.0])])
+    diagonal = compose(multiply_network(d, eps), parallelize_shared([ident, ident]))
+    square = _square_network(d, eps)
+    assert square.depth == diagonal.depth
+    assert metrics(square).connectivity < metrics(diagonal).connectivity
+    xs = EDGES[np.abs(EDGES[:, 0]) < 1e150]
+    assert bitwise(evaluate_batch(square, xs), evaluate_batch(diagonal, xs))
 
 
 # --- polynomials -----------------------------------------------------------------
@@ -247,3 +311,18 @@ def test_star_import_exports_every_constructor():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public <= set(package.__all__)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[0.19, 5e-16, -0.95, 0.0, 0.3], [0.0, 0.0, 1.0, -0.5], [-0.4, 0.3, 0.2]]
+)
+def test_polynomial_on_unit_inputs_is_bitwise_the_general_one(coeffs):
+    # on x in [0, 1], read raw, x-, stage 1's rho(-x) and the partial-sum
+    # row that |c_1| <= |c_0| keeps at 0 are left out
+    general = polynomial_network(coeffs, 1.0, 1e-3)
+    unit = _polynomial(coeffs, 1.0, 1e-3, unit=True)
+    assert unit.depth == general.depth
+    assert metrics(unit).connectivity < metrics(general).connectivity
+    xs = np.concatenate([np.linspace(0.0, 1.0, 20_001), np.logspace(-320, 0, 2_000)])
+    xs = xs.reshape(-1, 1)
+    assert bitwise(evaluate_batch(unit, xs), evaluate_batch(general, xs))

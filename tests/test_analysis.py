@@ -22,6 +22,7 @@ from relucalc.analysis import (
     count_linear_regions,
     cover_exp_family,
     cover_interval,
+    dead_rows,
     error_report,
     exact_pwl,
     min_pieces,
@@ -39,6 +40,7 @@ from relucalc.constructors import (
     sawtooth_network,
     square_interpolant_network,
     square_network,
+    weierstrass_network,
     weierstrass_reference,
 )
 from conftest import random_net
@@ -190,10 +192,11 @@ def test_pwl_of_crossing_inside_tiny_interval():
 
 
 def test_pwl_refuses_more_values_than_the_cap(monkeypatch):
-    # sawtooth_network(12) ends with 3 rows at 4097 breakpoints
+    # sawtooth_network(12) ends with 2 rows at 4097 breakpoints
     net = sawtooth_network(12)
+    assert net.layers[-2].out_dim == 2
     assert len(exact_pwl(net, (0.0, 1.0)).breakpoints) == 4097
-    monkeypatch.setattr(analysis, "MAX_PWL_VALUES", 10_000)
+    monkeypatch.setattr(analysis, "MAX_PWL_VALUES", 8_000)
     with pytest.raises(ResolutionError, match="MAX_PWL_VALUES"):
         exact_pwl(net, (0.0, 1.0))
 
@@ -202,6 +205,52 @@ def test_cos30_stays_well_under_the_pwl_cap():
     net = cosine_network(30, 1, 1e-2)
     count = len(exact_pwl(net, (-1.0, 1.0)).breakpoints)
     assert max(net.dims) * count <= analysis.MAX_PWL_VALUES // 10
+
+
+# --- dead rows ---------------------------------------------------------------------
+
+
+def _three_kinds_of_row():
+    """Layer 0: rho(x), rho(x - 1), rho(x - 5); layer 1: rho(-a - 1), 0 on R,
+    and rho(-a + 2b - 1), which is <= 0 at the breakpoints 0 and 1 and
+    rises past 3.  rho(x - 5) is 0 on [-1, 2] only."""
+    return network(
+        [
+            ([[1.0], [1.0], [1.0]], [0.0, -1.0, -5.0]),
+            ([[-1.0, 0.0, 0.0], [-1.0, 2.0, 0.0]], [-1.0, -1.0]),
+            ([[1.0, 1.0]], [0.0]),
+        ]
+    )
+
+
+def test_dead_rows_on_an_interval_and_on_r():
+    net = _three_kinds_of_row()
+    assert dead_rows(net, (-1.0, 2.0)) == [(0, 2), (1, 0), (1, 1)]
+    assert dead_rows(net) == [(1, 0)]
+    # a row that rises to the left of every breakpoint is alive on R too
+    mirrored = compose(net, network([([[-1.0]], [0.0])]))
+    assert dead_rows(mirrored) == [(1, 0)]
+
+
+def test_dead_rows_needs_a_1d_network():
+    with pytest.raises(DimensionError):
+        dead_rows(multiply_network(1.0, 1e-2))
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        (lambda: cosine_network(100, 1, 1e-2), 16),
+        (lambda: cosine_network(30, 1, 1e-2), 16),
+        (lambda: weierstrass_network(0.4, 3, 1, 1e-1), 41),
+    ],
+    ids=["cos100", "cos30", "weier"],
+)
+def test_dead_rows_left_on_r(build, count):
+    # the rows that stay are 0 on R only by bounds that rounding can break:
+    # the first tent's rho(g - 1), and the multiplier rows of stages >= 2
+    # of each cosine core, which rest on 0 <= z_i <= x (see CHANGES.md)
+    assert len(dead_rows(build())) == count
 
 
 # --- region counting --------------------------------------------------------------------

@@ -31,7 +31,7 @@ def _plain(seed):
     return {"setup_s": 0.1 * seed, "peak_rss_mb": 50.0, "pass_s": 1.0 + seed}
 
 
-def test_entry_schema(tmp_path):
+def test_entry_schema(tmp_path, quick_calibration):
     out, dest = tmp_path / "out", tmp_path / "dest"
     out.mkdir()
     dest.mkdir()
@@ -43,6 +43,9 @@ def test_entry_schema(tmp_path):
     _result(out, "verify_codec", 9, 0, _plain(9), commit="def456")
 
     assert bench_record.main(["--out-dir", str(out), "--dest", str(dest)]) == 2
+    bench_record.calibrate(out)
+    bench_record.calibrate(out)
+    bench_record.calibrate(out)
     assert bench_record.main(
         ["--out-dir", str(out), "--dest", str(dest), "--commit", "abc", "--note", "n"]
     ) == 0
@@ -50,8 +53,17 @@ def test_entry_schema(tmp_path):
     assert data["workload"] == "eval_deep"
     (entry,) = data["entries"]
     assert set(entry) == {
-        "commit", "note", "environment", "runs", "end_to_end", "also", "per_layer"
+        "commit", "note", "environment", "runs", "end_to_end", "also", "per_layer",
+        "session", "calibration",
     }
+    calibrations = sorted(out.glob("calibration-*.json"))
+    first, last = (json.loads(p.read_text()) for p in calibrations[::2])
+    assert len(calibrations) == 3 and entry["session"] == first["session"] == last["session"]
+    assert entry["calibration"] == {
+        "before": {k: first[k] for k in ("time", "numpy_s", "python_s")},
+        "after": {k: last[k] for k in ("time", "numpy_s", "python_s")},
+    }
+    assert entry["calibration"]["after"]["time"] > entry["calibration"]["before"]["time"]
     assert (entry["commit"], entry["note"]) == ("abc123", "n")
     assert entry["environment"] == {"nproc": 2, "python": "3.11.7", "git_commit": "abc123"}
     assert entry["runs"] == {
@@ -87,4 +99,36 @@ def test_runs_on_two_machines_are_refused(tmp_path):
     data["environment"]["nproc"] = 4
     path.write_text(json.dumps(data))
     with pytest.raises(bench_record.RecordError, match="environment"):
+        bench_record.record(tmp_path, tmp_path)
+
+
+@pytest.fixture
+def quick_calibration(monkeypatch):
+    monkeypatch.setattr(bench_record, "CALIBRATION_REPEATS", 1)
+    monkeypatch.setattr(bench_record, "_numpy_loop", lambda: None)
+    monkeypatch.setattr(bench_record, "_python_loop", lambda: None)
+
+
+def test_calibration_loops_take_measurable_time():
+    for loop in (bench_record._numpy_loop, bench_record._python_loop):
+        start = bench_record.time.perf_counter()
+        loop()
+        assert bench_record.time.perf_counter() - start > 1e-3
+
+
+def test_entries_without_calibrations_have_no_session(tmp_path):
+    _result(tmp_path, "eval_deep", 1, 0, _plain(1))
+    bench_record.record(tmp_path, tmp_path)
+    (entry,) = json.loads((tmp_path / "BENCH_eval_deep.json").read_text())["entries"]
+    assert entry["session"] is None
+    assert entry["calibration"] == {"before": None, "after": None}
+
+
+def test_calibrations_of_two_sessions_are_refused(tmp_path, quick_calibration):
+    _result(tmp_path, "eval_deep", 1, 0, _plain(1))
+    assert bench_record.main(["--calibrate", "--out-dir", str(tmp_path)]) == 0
+    path = bench_record.calibrate(tmp_path)
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(data, session="other")))
+    with pytest.raises(bench_record.RecordError, match="sessions"):
         bench_record.record(tmp_path, tmp_path)

@@ -438,6 +438,17 @@ def test_sum_width_independent_of_count(hat):
         assert total.depth == n * hat.depth - (n - 1)
 
 
+def test_sum_of_depth_one_summands_is_one_layer(hat):
+    flat = network([([[0.5]], [0.5])])
+    assert sum_finite_width([flat] * 3) == network([([[1.5]], [1.5])])
+    # beside deep summands they start the total and add no depth
+    total = sum_finite_width([flat, hat, flat, hat])
+    assert total.depth == 1 + 2 + 1 + 2 - 3
+    xs = np.linspace(-1, 2, 101).reshape(-1, 1)
+    want = 2 * evaluate_batch(hat, xs) + 2 * evaluate_batch(flat, xs)
+    assert_close_rel(evaluate_batch(total, xs), want)
+
+
 def test_sum_single_net(hat):
     total = sum_finite_width([hat])
     xs = np.linspace(-1, 2, 101).reshape(-1, 1)

@@ -374,7 +374,8 @@ def test_regions_sawtooth(capsys, tmp_path):
 def test_regions_past_the_breakpoint_cap_is_data_error(capsys, tmp_path, monkeypatch):
     net_path = tmp_path / "saw.relunet"
     run_cli(capsys, "build", "sawtooth", "--s", "12", "--out", str(net_path))
-    monkeypatch.setattr(analysis, "MAX_PWL_VALUES", 10_000)
+    # its last hidden layer holds 2 rows at 4097 breakpoints
+    monkeypatch.setattr(analysis, "MAX_PWL_VALUES", 8_000)
     code, stdout, stderr = run_cli(capsys, "regions", str(net_path), "0", "1")
     assert code == 3
     assert stdout == ""

@@ -64,28 +64,28 @@ BUILDS = {
 
 # sha256 of each build's relunet file
 DIGESTS = {
-    "weier": "39ba6f98ddc430fb2f4ff746a408a92f166ab79faecda7e7c6ecbdc0d82d0798",
-    "polynomial": "5908b22ad5fe6aa082c938bc781f6c947491e550ee9202c6da5f944560fdc1cd",
-    "gauss1": "48a35d9821d0344994014ffb041e26287e5b45843fabcce99a3fb94a30ddc5fe",
-    "gauss2": "ab926f6fbeea4ccceb22d233d9a6f1769b89a19d420d41217ef0c910742a6719",
-    "gauss3": "a10e2867eba08de8be5a36d9fe066fc67e29580c10792990404fcff75bee803a",
-    "cos100": "a73cf3b0e160d560ca817f8b977382edb3aa0e937d70653758896ccd76584737",
-    "cos30": "0b27e88d2e315ce118abf6801b86eb06ae833a2023c2d38461ddb736e5e6fa88",
-    "bspline1": "83d7d1c1161f56be124529362ccb628807d08b106dabd6050dde5e9504f0a2c0",
-    "bspline3": "fc46a5ac1491b7119c6a9a5d3d9c46cc05b26dbd462cf458bdca4c955f878f24",
+    "weier": "3b2e0273741d4a514f5480b1b426eacc7ecef13de70f0bc3b0de2c357872e163",
+    "polynomial": "d87c007c0e4c459c4fe659afd27e77b1cbf0f99b3cb090e56b6d2e64091da371",
+    "gauss1": "95d45d82687a826449b8339fb6c3cda98b1cdc7973b8c2d96677ab9290ea2533",
+    "gauss2": "dd9082dfb30f67dc7d1a08afb50fc13c3bf330c00a69691b8ac3af446fe10854",
+    "gauss3": "6c323ed47f6a35c2b94d230cf7795936e1ae6292d129e2629ab5f79c0b9ecb0e",
+    "cos100": "ec00c864a4f46659a8382f711a1f8b95d87c4c890f6904abbba24908fa872202",
+    "cos30": "ac5afc850410691c03df006ea5b1ef9f65403d88963a97f3986432c60725aa3e",
+    "bspline1": "463afab196ad48ad12383ab07aabf4736a3cb331770eb64a5d3a3fe72a089e3c",
+    "bspline3": "d59f0564cec4967c89539f19a12398e6d7e11e667a685a5fe977321c6f76f2bd",
     "mult": "567c43a51f9222b4a394db87b8eb4311e97279a539042959de323fb73c7ea53c",
     "multiply": "bdfb633bb8bb903d655c10044f55a8eebfa9473187ac6850655b6d5a28bd3d52",
     "wavelet2": "8b402bd1a65bf7036ad28345bc97bfd118056c28b1abaed08141e2bc8f33330f",
     "cutoff1": "8853db51f967ea8df9d4eb2d038a20c683c2b39dbacef8162ffbe3eb5584a2c7",
     "cutoff2": "d79324a21f2f4a9fc2e195fce98a83322ddad5eedb8d84a40e15bd967f054ac6",
     "cutoff3": "0394ac9c5ca52a9004111e078d7716fc44305b4e2293c0c9124c9f0a93102da5",
-    "stitch": "4eddbfa7b9995b841498f989cde441425187259efc0d24c765e6886594039b96",
-    "smooth_general": "816f01c591a7b9c6e1adb07e7c5970762e5d4f0b2c2a783c70a154f14883edbe",
-    "modulated_re": "922ee9718ebc63d0e66740482864e4cc47c1ef2b77bea7d7f33c6a607f4c7c42",
-    "modulated_im": "bba620f6dc55cfd93a43d001eab126e4c631301d6413553a92cb0a4b2c61b0ac",
-    "oscillatory": "df37e8fc04b9c5131e2afeb419187b4ad37340a1970cca0993019ee051b6a81c",
-    "par_shared": "199aff1e299435e27b2c5b135e41f95060cf505db59c25ee0a32c5587570b894",
-    "lincomb_shared": "80e7e4371aec5ab19114006a490a56d2be2ebe3efae292222a12b840862d34ba",
+    "stitch": "b38dbb04b85d04637fc4ed0c120b7cbd7825c5e87008f200f0920b41ed97dd3a",
+    "smooth_general": "2d7431529366a3e41acc6466f86956a0ffc03f85ef6fe804a1c330de45213f34",
+    "modulated_re": "22010d5f4484787ca4ca4cae8bcff0279d3be057169a9a2941ed5a627bd37762",
+    "modulated_im": "61bd07d9f7402c83427321b94cd31ca9a07183a5a8e6ef0401d6de242df2e0bc",
+    "oscillatory": "436a44c252d3c23e1dbe7a48303f89992f515f79aadbe84c5c1081ba2bdab9b8",
+    "par_shared": "5f6c5c22383b8cabf0afae97735ddae534e003bf664f10c44b158d237742f698",
+    "lincomb_shared": "f52516379f84ba787c7f6ffe50b37dd2163c27b99e86ff3ec0e33c16f317fd07",
     "lincomb_shared_d1": "eef6d9deabdc2804cfadb2b146264298f5fb9a85b756f3a1205ee4c9f08a8716",
     "haar_mother": "848583c20192eb46f92b792f22bcdba44307c86fd5443c53bd20e7ebd582148d",
     "haar_element": "5b3bec190b411c81bfb6423b3b43f5fa3d8a7c2f6ff632dbb40cb78901388eed",

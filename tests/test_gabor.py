@@ -187,7 +187,7 @@ def test_exp_degree_is_the_least_that_meets_the_tail_bound(eps):
 
 @pytest.mark.parametrize(
     "dim, eps, depth, connectivity",
-    [(1, 1e-1, 65, 1039), (2, 1e-1, 65, 1202), (3, 2e-1, 54, 1121)],
+    [(1, 1e-1, 65, 870), (2, 1e-1, 65, 988), (3, 2e-1, 54, 883)],
     ids=["gauss1", "gauss2", "gauss3"],
 )
 def test_gaussian_builds_keep_their_size(dim, eps, depth, connectivity):

@@ -273,15 +273,15 @@ def test_quantize_error_law_on_constructors():
 CODEC_PINS = {
     "cos30": (
         lambda: cosine_network(30, 1, 1e-2),
-        1242,
-        "7533c3be5ce310fb1fcf3a5245a45a84e208e110d24ab98ba6f9f30ae096bf53",
-        "b4c3257fc8da5e027216ee51a0173be7273a12a4cb15357d29a2f857db6f3ad2",
+        1035,
+        "f660313a703e4aab4ff4fa816aee6d9c6ffea05ab13e13241dfe39dc945b016c",
+        "7e32884def4361619513df06f177707ccf0e7ca41def06b116d608e783118399",
     ),
     "bspline3": (
         lambda: bspline_network(3, 1e-3),
         168,
-        "fc46a5ac1491b7119c6a9a5d3d9c46cc05b26dbd462cf458bdca4c955f878f24",
-        "53c2e3fabbf94eb02459f3966364d5c2e586f0a64d6be992ae88044ece81dbd4",
+        "d59f0564cec4967c89539f19a12398e6d7e11e667a685a5fe977321c6f76f2bd",
+        "4fc8bbafe7c607ff3ca2b96265a1b56b699e1bafe016d54cc93de826a921a8b8",
     ),
     "mult": (
         lambda: multiply_network(1, 1e-4),

@@ -259,6 +259,15 @@ def test_pyramid_rows_predict_the_built_dims(m, shifts, eps, monkeypatch):
         _de_boor_pyramid(m, shifts, eps)
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_pyramid_sizes_come_before_its_rows(m):
+    # the sizes _pyramid_layers states without making a multiplier row are
+    # the dims of the built pyramid, for one shift and for a wavelet's
+    for shifts in (1, 3 * m - 1):
+        sizes = [len(rows) for rows in _pyramid_layers(m, shifts, 1e-2)]
+        assert tuple(sizes) == _de_boor_pyramid(m, shifts, 1e-2).dims[1:]
+
+
 def test_pyramid_shifts_are_the_shifted_bspline():
     m, shifts, eps = 4, 3, 1e-3
     net = _de_boor_pyramid(m, shifts, eps)

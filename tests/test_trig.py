@@ -140,9 +140,9 @@ def test_cosine_degrees(eps, degree):
 @pytest.mark.parametrize(
     "build, connectivity",
     [
-        (lambda: cosine_network(30, 1, 1e-2), 1157),
-        (lambda: cosine_network(100, 1, 1e-2), 1186),
-        (lambda: weierstrass_network(0.4, 3, 1, 1e-1), 4566),
+        (lambda: cosine_network(30, 1, 1e-2), 944),
+        (lambda: cosine_network(100, 1, 1e-2), 957),
+        (lambda: weierstrass_network(0.4, 3, 1, 1e-1), 3852),
     ],
     ids=["cos30", "cos100", "weier"],
 )

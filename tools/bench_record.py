@@ -1,16 +1,26 @@
 """Add the benchmark runs of one commit to the checked-in trajectory.
 
+    python3 tools/bench_record.py --calibrate [--out-dir perfbench/out]
     python3 tools/bench_record.py [--out-dir perfbench/out] [--commit SHA]
                                   [--note TEXT] [--dest .]
 
-Reads the `result-*.json` files that `perfbench/run.py` wrote to --out-dir,
-keeps those of one commit (their `environment.git_commit`; --commit may be a
-prefix and is needed only when the directory holds runs of several commits),
-and writes one entry per workload to `BENCH_<workload>.json` in --dest.  An
-entry holds
+With --calibrate it times a fixed calibration and adds it to --out-dir as
+a `calibration-*.json` file: a seeded numpy take / multiply / add loop
+shaped like one layer of `core._affine_step`, and a pure-Python loop.  Run
+it right before and right after the benchmark runs.  The first calibration
+in a directory draws a session id, and later ones there keep it.
+
+Otherwise it reads the `result-*.json` files that `perfbench/run.py` wrote
+to --out-dir, keeps those of one commit (their `environment.git_commit`;
+--commit may be a prefix and is needed only when the directory holds runs
+of several commits), and writes one entry per workload to
+`BENCH_<workload>.json` in --dest.  An entry holds
 - the commit, an optional note, and the environment record of the runs
   without its seed (runs whose records differ otherwise are refused, since
   an entry names one machine);
+- the session id and the first and last calibration of --out-dir
+  (`before` and `after`, null when there are none), so that entries of
+  one session compare directly and others through their calibrations;
 - the runs: untraced and traced counts, their seeds, and the operations
   attempted and failed over all of them;
 - the median, first and third quartile (statistics.quantiles, inclusive) and
@@ -28,10 +38,15 @@ import argparse
 import json
 import statistics
 import sys
+import time
+import uuid
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("setup_s", "peak_rss_mb", "pass_s")
+CALIBRATION_REPEATS = 5
 
 
 class RecordError(ValueError):
@@ -66,6 +81,63 @@ def load(out_dir: Path, commit: str | None) -> tuple[str, list[dict]]:
         )
     chosen = commits[0]
     return chosen, [r for r in results if r["environment"]["git_commit"] == chosen]
+
+
+def _numpy_loop() -> None:
+    """12 terms of one 24-row layer over 8192 points, 20 times."""
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((24, 8192))
+    acc, tmp = np.zeros((24, 8192)), np.empty((24, 8192))
+    terms = [(rng.integers(0, 24, 24), rng.standard_normal((24, 1))) for _ in range(12)]
+    for _ in range(20):
+        for src, weights in terms:
+            np.take(h, src, axis=0, out=tmp, mode="clip")
+            np.multiply(tmp, weights, out=tmp)
+            np.add(acc, tmp, out=acc)
+
+
+def _python_loop() -> None:
+    total = 0
+    for i in range(1_000_000):
+        total += i * i % 7
+
+
+def calibrate(out_dir: Path) -> Path:
+    """Time both loops (median of CALIBRATION_REPEATS) and write them, with
+    the directory's session id, to a new calibration file."""
+    old = [json.loads(p.read_text()) for p in sorted(out_dir.glob("calibration-*.json"))]
+    session = old[0]["session"] if old else uuid.uuid4().hex[:12]
+    record = {"session": session, "time": time.time()}
+    for name, loop in (("numpy_s", _numpy_loop), ("python_s", _python_loop)):
+        times = []
+        for _ in range(CALIBRATION_REPEATS):
+            start = time.perf_counter()
+            loop()
+            times.append(time.perf_counter() - start)
+        record[name] = statistics.median(times)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"calibration-{len(old):03d}.json"
+    path.write_text(json.dumps(record) + "\n")
+    return path
+
+
+def calibrations(out_dir: Path) -> dict:
+    """The session id and the first and last calibration in out_dir."""
+    found = sorted(
+        (json.loads(p.read_text()) for p in out_dir.glob("calibration-*.json")),
+        key=lambda c: c["time"],
+    )
+    sessions = sorted({c["session"] for c in found})
+    if len(sessions) > 1:
+        raise RecordError(f"{out_dir} holds calibrations of sessions {sessions}")
+    pick = lambda c: {k: c[k] for k in ("time", "numpy_s", "python_s")}
+    return {
+        "session": sessions[0] if sessions else None,
+        "calibration": {
+            "before": pick(found[0]) if found else None,
+            "after": pick(found[-1]) if len(found) > 1 else None,
+        },
+    }
 
 
 def entry(commit: str, note: str | None, runs: list[dict]) -> dict:
@@ -104,10 +176,11 @@ def record(
 ) -> list[Path]:
     """Write the entries of one commit; returns the files written."""
     commit, results = load(out_dir, commit)
+    session = calibrations(out_dir)
     written = []
     for workload in sorted({r["args"]["workload"] for r in results}):
         runs = [r for r in results if r["args"]["workload"] == workload]
-        new = entry(commit, note, runs)
+        new = entry(commit, note, runs) | session
         path = dest / f"BENCH_{workload}.json"
         data = {"workload": workload, "entries": []}
         if path.exists():
@@ -128,7 +201,11 @@ def main(argv=None) -> int:
     p.add_argument("--commit")
     p.add_argument("--note")
     p.add_argument("--dest", type=Path, default=ROOT)
+    p.add_argument("--calibrate", action="store_true")
     args = p.parse_args(argv)
+    if args.calibrate:
+        print(calibrate(args.out_dir))
+        return 0
     try:
         paths = record(args.out_dir, args.dest, args.commit, args.note)
     except RecordError as err:
