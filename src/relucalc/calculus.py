@@ -246,17 +246,16 @@ def _scalar_mult(a: float, dim: int, nonnegative: bool) -> ReluNetwork:
     # 2**k <= |a| < 2**(k+1), exactly
     k = math.frexp(a)[1] - 1
     alpha = a * 2.0 ** (-(k + 1))
-    # channels p = rho(x), q = rho(x) + rho(-x) and m = rho(-x)
-    keep = [0, 1] if nonnegative else [0, 1, 2]
-    pm = np.array([[1.0], [-1.0]])[keep[:-1]]
-    double = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
-    layers = [
-        (pm, np.zeros(len(pm))),
-        (np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])[keep][:, : len(pm)], np.zeros(len(keep))),
-    ]
-    layers += [(double[keep][:, keep], np.zeros(len(keep)))] * (k + 1)
-    layers.append((np.array([[alpha, 0.0, -alpha]])[:, keep], [0.0]))
-    one_dim = network(layers)
+    # channels p = rho(x), q = rho(x) + rho(-x) and m = rho(-x); n = 2 keeps p, q
+    n = 2 if nonnegative else 3
+    split = np.array([[1.0], [-1.0]])[: n - 1]
+    spread = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])[:n, : n - 1]
+    double = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])[:n, :n]
+    one_dim = ReluNetwork(
+        (AffineLayer(split, np.zeros(n - 1)), AffineLayer(spread, np.zeros(n)))
+        + (AffineLayer(double, np.zeros(n)),) * (k + 1)
+        + (AffineLayer([[alpha, 0.0, -alpha][:n]], [0.0]),)
+    )
     if dim == 1:
         return one_dim
     return parallelize([one_dim] * dim)
@@ -315,18 +314,17 @@ def sum_finite_width(nets: Sequence[ReluNetwork]) -> ReluNetwork:
         raise DimensionError("sum_finite_width needs equal input and output dims")
     flat = [n.layers[0] for n in nets if n.depth == 1]
     deep = [n for n in nets if n.depth > 1]
-    start = [
-        (sum(f.matrix for f in flat), sum(f.bias for f in flat))
-    ] if flat else []
+    # the depth-1 summands' sum is the total the first layer starts
+    start = [(sum(f.matrix for f in flat), sum(f.bias for f in flat))][: len(flat)]
     if not deep:
         return network(start)
 
     # A segment's block is block-diagonal over its channel groups (input,
-    # total, summand), and a_in, mid and a_out hold at most one 1 per group
-    # in each row and column, so every merged sum below has one nonzero
-    # product and compose merges into the block's own entries.
+    # total, summand), and each post layer holds at most one 1 per group in
+    # each row and column, so every merged sum below has one nonzero product
+    # and compose merges into the block's own entries; the first layer's
+    # total rows, the depth-1 summands' sum, are each read by one +-1.
     eye_d, eye_o = np.eye(d), np.eye(d_out)
-    skip = np.zeros((d, d_out))
     total = network(
         [
             (
@@ -342,17 +340,10 @@ def sum_finite_width(nets: Sequence[ReluNetwork]) -> ReluNetwork:
             + [identity_network(d_out, sub.depth)] * carried
             + [sub]
         )
-        on_total = [eye_o] * carried
-        if i == len(deep) - 1:
-            post = np.hstack([np.zeros((d_out, d))] + on_total + [eye_o])
-        else:
-            post = np.vstack(
-                [
-                    np.hstack([eye_d] + [skip] * (carried + 1)),
-                    np.hstack([np.zeros((d_out, d))] + on_total + [eye_o]),
-                    np.hstack([eye_d] + [skip] * (carried + 1)),
-                ]
-            )
+        # rows: the input, the total plus the summand, the input again
+        to_total = np.hstack([np.zeros((d_out, d))] + [eye_o] * carried + [eye_o])
+        copy_in = np.hstack([eye_d, np.zeros((d, d_out * (carried + 1)))])
+        post = to_total if i == len(deep) - 1 else np.vstack([copy_in, to_total, copy_in])
         segment = compose(network([(post, np.zeros(len(post)))]), block)
         total = compose(segment, total)
     return total

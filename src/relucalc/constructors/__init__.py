@@ -1,3 +1,15 @@
+"""The explicit approximants.
+
+No constructor emits a hidden row that is 0 on all of R.  Where the facts a
+construction knows about its own values (an input >= 0, a tent value in
+[0, 1], two multiplier inputs that are one form) make a row's
+pre-activation <= 0 at every finite input whose pre-activations stay
+finite, the row is left out, and its float argument stands next to the
+omission.  A fact that holds only on a bounded range, or only up to the
+rounding of an approximation, keeps its row, so every output bit is the
+one the full construction gives, everywhere.
+"""
+
 from .algebra import (
     multiply_network,
     multiply_refinement_steps,

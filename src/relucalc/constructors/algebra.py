@@ -40,14 +40,15 @@ def sawtooth_network(s: int) -> ReluNetwork:
     """
     if s < 1:
         raise ValueError("order must be a positive integer")
-    mid = np.array([[2.0, -4.0, 2.0]] * 3)
     rows = [3] * min(s, 2) + [2] * (s - 2)  # rows of layers 0, ..., s - 1
+
+    @cache
+    def tent(out: int, cols: int) -> AffineLayer:
+        return AffineLayer([[2.0, -4.0, 2.0][:cols]] * out, [0.0, -0.5, -1.0][:out])
+
     layers = [AffineLayer([[1.0], [1.0], [1.0]], [0.0, -0.5, -1.0])]
-    for ell in range(1, s):
-        cut = mid[: rows[ell], : rows[ell - 1]]
-        layers.append(AffineLayer(cut, [0.0, -0.5, -1.0][: rows[ell]]))
-    layers.append(AffineLayer(mid[:1, : rows[-1]], [0.0]))
-    return ReluNetwork(tuple(layers))
+    layers += [tent(rows[ell], rows[ell - 1]) for ell in range(1, s)]
+    return ReluNetwork(tuple(layers) + (tent(1, rows[-1]),))
 
 
 def square_refinement_steps(eps: float) -> int:
@@ -123,20 +124,24 @@ _MULT_OUT = np.array([-0.5, 0.5, 1.0, -1.0, 1.0])
 # bias 0 and -1/2) or each other, so all of them are 0 exactly and left
 # out.  _SQUARE_IN keeps the input rows on (x + y)/2D, _SQUARE the channels
 # (s1, h1, acc).
-_SQUARE_IN = [0, 1]
-_SQUARE = [0, 2, 4]
+_SQUARE_IN = (0, 1)
+_SQUARE = (0, 2, 4)
 
 
 @cache
-def _mult_layer(ell: int, rows: tuple, cols: tuple) -> AffineLayer:
+def _mult_layer(ell: int, rows: tuple, cols: tuple, carried: int = 0) -> AffineLayer:
     """Layer ell (2 <= ell <= m + 1) of the multiplier at D = 1, restricted
-    to the given channels and the given rows of the layer before."""
+    to the channels rows and the rows cols of the layer before, below
+    `carried` copy rows.  Layers are immutable, so builds share them."""
     rows, cols = list(rows), list(cols)
     if ell == 2:
-        return AffineLayer(_MULT_SPLIT[rows][:, cols], _MULT_SPLIT_BIAS[rows])
-    step = 2.0 ** (-2 * ell + 3)
-    bias = np.array([0.0, 0.0, -step, -step, 0.0])
-    return AffineLayer(_MULT_MID[rows][:, cols], bias[rows])
+        mat, bias = _MULT_SPLIT[rows][:, cols], _MULT_SPLIT_BIAS[rows]
+    else:
+        step = 2.0 ** (-2 * ell + 3)
+        mat, bias = _MULT_MID[rows][:, cols], np.array([0.0, 0.0, -step, -step, 0.0])[rows]
+    return AffineLayer(
+        _block_diag([np.eye(carried), mat]), np.concatenate([np.zeros(carried), bias])
+    )
 
 
 def multiply_network(half_width: float, eps: float) -> ReluNetwork:
@@ -149,14 +154,14 @@ def multiply_network(half_width: float, eps: float) -> ReluNetwork:
     by D**2.  Width stays at 5, weights at 1, and the output vanishes exactly
     when either input is zero.
     """
-    return _multiplier(half_width, eps, range(4), range(5), _MULT_IN)
+    return _multiplier(half_width, eps, (0, 1, 2, 3), (0, 1, 2, 3, 4), _MULT_IN)
 
 
 def _square_network(half_width: float, eps: float) -> ReluNetwork:
     """multiply_network(half_width, eps) on the diagonal y = x, as a network
     of x: it reads x with the weights (a + a)/D of the merged fan-out and
     holds only the nonzero rows (see _SQUARE)."""
-    first = (_MULT_IN[:, :1] + _MULT_IN[:, 1:])[_SQUARE_IN]
+    first = (_MULT_IN[:, :1] + _MULT_IN[:, 1:])[list(_SQUARE_IN)]
     return _multiplier(half_width, eps, _SQUARE_IN, _SQUARE, first)
 
 
@@ -165,7 +170,6 @@ def _multiplier(half_width, eps, rows, chans, first) -> ReluNetwork:
     that the first layer's matrix reads."""
     d = max(1.0, float(half_width))
     m = multiply_refinement_steps(half_width, eps)
-    rows, chans = tuple(rows), tuple(chans)
     layers = [AffineLayer(first / d, np.zeros(len(rows)))]
     # The accumulator acc carries the signed branch difference shifted by +1
     # so it never hits the ReLU clip (the difference of the two partial
@@ -264,23 +268,14 @@ def _polynomial(coeffs, half_width: float, eps: float, unit: bool) -> ReluNetwor
     amp = _pow2_ceil(max(abs(a) * b for a, b in zip(coeffs, bound)))
     c = [a * b / amp for a, b in zip(coeffs, bound)]
 
-    middle = {}  # (carried rows, input rows, channels, ell) -> layer
-
-    def middle_layer(k: int, ins, chans, ell: int) -> AffineLayer:
-        key = (k, tuple(ins), tuple(chans), ell)
-        if key not in middle:
-            block = _mult_layer(ell, tuple(chans), tuple(ins if ell == 2 else chans))
-            mat = _block_diag([np.eye(k), block.matrix])
-            middle[key] = AffineLayer(mat, np.concatenate([np.zeros(k), block.bias]))
-        return middle[key]
-
     # stage 1 reads x: z_1 = x / d and s = c_0.  x, s and z are linear forms
     # over the previous layer's outputs, bias last.
     x = np.array([1.0, 0.0])
     s = np.array([0.0, c[0]])
     z = x / d
-    x_rows = [x, -x][: 2 - unit]  # x+, and x- unless x >= 0
-    ins, chans = ([0] if unit else _SQUARE_IN), _SQUARE
+    nx = 1 if unit else 2  # x+, and x- unless x >= 0
+    x_rows = [x, -x][:nx]
+    ins, chans = ((0,) if unit else _SQUARE_IN), _SQUARE
     layers = []
     for i in range(1, degree):
         s = s + c[i] * z  # s'
@@ -291,21 +286,23 @@ def _polynomial(coeffs, half_width: float, eps: float, unit: bool) -> ReluNetwor
             reach = abs(w) if unit or w == 0.0 else math.inf
             signs = [g for g in signs if g * c0 + reach > 0.0]
         carry = (x_rows if i < degree - 1 else []) + [g * s for g in signs]
-        mult_in = np.outer(_MULT_IN[ins, 0] / d, x) + np.outer(_MULT_IN[ins, 1], z)
+        mult_in = np.outer(_MULT_IN[list(ins), 0] / d, x) + np.outer(_MULT_IN[list(ins), 1], z)
         rows = np.vstack(carry + [mult_in])
         layers.append(AffineLayer(rows[:, :-1], rows[:, -1]))
         m = multiply_refinement_steps(1.0, eta / (d * bound[i]))
         k = len(carry)
-        layers.extend(middle_layer(k, ins, chans, ell) for ell in range(2, m + 2))
+        layers.append(_mult_layer(2, chans, ins, k))
+        layers += [_mult_layer(ell, chans, chans, k) for ell in range(3, m + 2)]
         # the forms over the next layer's input, (x+, x-, s+, s-, h) or
         # (s+, s-, h) after the last stage, where only s and z are read
         f = d * bound[i] / bound[i + 1]
         cols = np.eye(k, k + len(chans) + 1)
-        x_rows = list(cols[: len(x_rows)])
-        x = sum((g * row for g, row in zip([1.0, -1.0], x_rows)), np.zeros(k + len(chans) + 1))
-        s = sum((g * row for g, row in zip(signs, cols[k - len(signs) : k])), np.zeros(k + len(chans) + 1))
-        z = np.concatenate([np.zeros(k), f * _MULT_OUT[chans], [-f]])
-        ins, chans = [0, 1, 2, 3], [0, 1, 2, 3, 4]
+        if i < degree - 1:
+            x_rows = list(cols[:nx])
+            x = np.array([1.0, -1.0][:nx]) @ cols[:nx]
+        s = np.array(signs) @ cols[k - len(signs) : k]
+        z = np.concatenate([np.zeros(k), f * _MULT_OUT[list(chans)], [-f]])
+        ins, chans = (0, 1, 2, 3), (0, 1, 2, 3, 4)
     out = s + c[degree] * z
     layers.append(AffineLayer([out[:-1]], out[-1:]))
     net = ReluNetwork(tuple(layers))

@@ -113,11 +113,13 @@ class _Rows:
 
 
 def _core_rows(k: int, ell: int, layer: AffineLayer, cores, values, extra) -> list:
-    """Layer ell of level k's multiplier cores, then the extra rows.  Each
-    side-0 core leaves out its input row 1, rho(-(x + y)/2): it reads the
-    values y >= 0 (post-ReLU) first, then the ramps rho(y - j) >=
-    rho(y - j - k - 1) with the weights -+1/2k, so the rounded x + y is
-    >= 0 and the row is 0 exactly."""
+    """Layer ell of level k's multiplier cores, then the extra rows.
+
+    Each side-0 core leaves out its input row 1, rho(-(x + y)/2), the
+    negation of row 0.  Row 0 sums the values N_k (post-ReLU, so >= 0, and
+    in the first columns) with weight 1/2, then rho(y - j) with 1/2k, then
+    rho(y - j - k - 1) <= rho(y - j) with -1/2k: monotone rounding keeps
+    each partial sum >= 0, so row 1 is 0 exactly."""
     rows = []
     for j, side in cores:
         if ell == 0:
@@ -187,6 +189,7 @@ def _pyramid_layers(m: int, shifts: int, eps: float):
         held -= 1
         for ell, layer in enumerate(core):
             extra = tail(k) if ell == len(core) - 1 else carried
+            # the held side-0 cores leave out input row 1
             count = len(cores) * layer.out_dim - held * (ell == 0) + len(extra)
             make = partial(_core_rows, k, ell, layer, cores, values, extra)
             yield _Rows(count, make)

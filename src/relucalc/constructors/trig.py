@@ -67,8 +67,10 @@ def cosine_network(a: float, half_width: float, eps: float) -> ReluNetwork:
     # covers the domain.
     a_eff = a * d if d > 1.0 else a
     # past the first tent the sawtooth's output is exact and in [0, 1] (see
-    # sawtooth_network), so with s >= 2 folds, i.e. ceil(folds) >= 2, the
-    # fold's rescale and the core read x >= 0
+    # sawtooth_network).  So with s >= 2 folds, i.e. ceil(folds) >= 2, the
+    # fold's rescale reads a value >= 0, and its last layer, (1/2, 0) on
+    # (p, q) since its factor 4**(s+1) is a power of two, gives the core
+    # x = p/2 in [0, 1] with each merged weight w/2 rounded once onto x
     folds = math.log2(a_eff) - math.log2(math.pi)
     try:
         core = _smooth_network(_COSINE_CORE, _COS_SCALE * eps, folds > 1.0)
