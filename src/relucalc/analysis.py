@@ -167,7 +167,11 @@ def dead_rows(net: ReluNetwork, interval=None) -> list[tuple[int, int]]:
     This is a test oracle, not a float proof: BREAK_MERGE_TOL merges
     breakpoints, so a row positive only between two merged points reads as
     dead.  Raises ResolutionError when R needs more than _MAX_WIDENINGS
-    widenings, or where exact_pwl would.
+    widenings, or where exact_pwl would.  On R that limit is reached by
+    rows that are constant in exact arithmetic: their end slopes carry
+    rounding noise, which implies a crossing far out, and every widening
+    moves it further.  dead_rows(gaussian_network(1, 1e-1)) fails so, with
+    crossings still outside [-6, 6.6e12]; on (-8, 8) it returns.
     """
     if net.in_dim != 1 or net.out_dim != 1:
         raise DimensionError("dead rows are found for 1-D networks only")

@@ -56,6 +56,13 @@ def cardinal_bspline(m: int, x) -> float:
     return _truncated_power_sum(m, p, q) / (math.factorial(m - 1) * q ** (m - 1))
 
 
+# Dense float64 entries (the sum of rows x cols over all layers) above which
+# a de Boor pyramid or a plateau gate is refused before anything is built:
+# 2^25 entries hold 256 MiB.  The B-spline of order 49 at eps 1e-2 needs
+# 3.3e7, order 60 6.4e7; the widest gate accepted has dimension 2,896.
+MAX_DENSE_ENTRIES = 2 ** 25
+
+
 def _plateau_gate(
     lo: float, hi: float, ramp: float, dim: int = 1, scale: float | None = None
 ) -> tuple[ReluNetwork, float]:
@@ -68,8 +75,17 @@ def _plateau_gate(
     nonpositive.  For dim > 1 one more layer checks that every coordinate is
     on its plateau.  The first layer is divided by scale, a power of two that
     by default is the smallest keeping all weights at most 1, so the scaled
-    arithmetic mirrors the unscaled one bit for bit.
+    arithmetic mirrors the unscaled one bit for bit.  A gate of more than
+    MAX_DENSE_ENTRIES dense weights (4 dim^2 + dim + 1 for dim > 1) is
+    refused with ValueError before any matrix exists.
     """
+    dims = [dim, 2 * dim, dim] + [1] * (dim > 1) + [1]
+    dense = sum(a * b for a, b in zip(dims, dims[1:]))
+    if dense > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"dimension {dim} is too large: its plateau gate holds {dense:,} "
+            f"dense weights, more than MAX_DENSE_ENTRIES = {MAX_DENSE_ENTRIES:,}"
+        )
     if scale is None:
         scale = _pow2_ceil(max(abs(lo), abs(hi), ramp, (dim - 1) * ramp))
     inv = 1.0 / scale
@@ -85,12 +101,6 @@ def _plateau_gate(
     if dim > 1:
         layers += (AffineLayer(np.ones((1, dim)), [-(dim - 1) * ramp * inv]),)
     return ReluNetwork(layers + (AffineLayer([[1.0]], [0.0]),)), scale / ramp
-
-
-# Dense float64 entries (the sum of rows x cols over all layers) above which
-# a de Boor pyramid is refused before anything is built: 2^25 entries hold
-# 256 MiB.  The B-spline of order 49 at eps 1e-2 needs 3.3e7, order 60 6.4e7.
-MAX_DENSE_ENTRIES = 2 ** 25
 
 
 def _product_tol(m: int, k: int, eps: float) -> float:

@@ -13,8 +13,9 @@ is part of the contract.  A pre-activation that overflows to inf mid-network
 is outside it.
 
 Each network is compiled once into an execution plan that skips zero
-weights (see `_compile`); evaluate_batch and exact_pwl both run the plan
-through `_affine_step`.  The plan keeps the contract because
+weights and reads every source through a basic slice (see `_compile`);
+evaluate_batch and exact_pwl both run the plan through `_affine_step`.  The
+plan keeps the contract because
 - a skipped term A[i, j] x[j] with A[i, j] == 0 is +-0, and adding +-0 to a
   finite sum that started at +0.0 leaves it unchanged;
 - the plan starts each sum at its first nonzero term a x instead of at
@@ -22,10 +23,14 @@ through `_affine_step`.  The plan keeps the contract because
   stay equal or are both zero, and the closing bias add turns two zeros
   into the same value, because the plan stores every bias -0.0 as +0.0
   (b + 0.0), which the contract's +0.0-started sum cannot tell apart;
+- a run of weights 1.0 skips the multiply, since 1 * x == x bitwise, -0.0
+  included; after the first term a run of weights -1.0 subtracts, since
+  a + (-1 * x) == a - x exactly: -1 * x is the exact negation, and IEEE 754
+  subtraction is addition of the negation;
 - a sum that starts at +0.0 never becomes -0.0, and neither does its bias
   add, so no layer output (and no post-ReLU value) is -0.0;
 - a copy row (single weight 1.0, zero bias) outside layer 0 therefore
-  computes (0 + 1 * x[j]) + b == x[j], and is a plain gather of the
+  computes (0 + 1 * x[j]) + b == x[j], and is a plain copy of the
   post-ReLU value x[j].  Layer 0 reads raw inputs, where -0.0 would become
   +0.0, so it has no copy rows.
 """
@@ -37,6 +42,7 @@ import os
 import stat
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -185,18 +191,33 @@ class NetworkMetrics:
 CHUNK_POINTS = 8192
 
 
+class _Run(NamedTuple):
+    """Buffer rows r0:r1 of one term, or of a layer's copy rows, and the
+    previous layer's buffer rows src that they read: one row broadcast over
+    the run (stride 0) or r1 - r0 consecutive rows (stride 1)."""
+
+    rows: slice  # r0:r1
+    src: slice
+    # (r1 - r0, 1), or None when no multiply is needed: every weight is 1.0,
+    # or -1.0 in a term after the first, which combine then subtracts
+    weights: np.ndarray | None
+    combine: np.ufunc  # np.add, or np.subtract for a -1.0 run after term 0
+
+
 class _Step(NamedTuple):
     """One layer of the plan, rows in buffer order: sparse rows first, by
     descending nonzero count, then copy rows.
 
-    terms[k] = (src, weights) holds the k-th nonzero (ascending column) of
-    each of the first len(src) sparse rows: the buffer row it reads in the
-    previous layer and its weight, shape (len(src), 1).
+    terms[k] holds the runs of the k-th nonzero (ascending column) of each
+    of the first n_k sparse rows, in buffer order, so that its last run
+    ends at row n_k.  copies holds the runs of the copy rows, with rows
+    counted in the whole layer and weights None.  Both are split into
+    maximal runs by a greedy scan (`_run_bounds`).
     """
 
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    terms: tuple[tuple[_Run, ...], ...]
     bias: np.ndarray  # (sparse rows, 1), -0.0 stored as +0.0
-    copies: np.ndarray  # previous-layer buffer row of each copy row
+    copies: tuple[_Run, ...]
     rows: int
 
 
@@ -207,9 +228,44 @@ class _Plan(NamedTuple):
     out_rows: np.ndarray  # buffer row of each output coordinate
 
 
+def _run_bounds(same: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split entries into runs: the index of each run's first and last entry.
+
+    Scanning in order, a run takes the next entry while it is in the run's
+    group (same[i] says whether entries i and i + 1 are) and its source
+    steps by the run's stride, 0 or 1, which the run's first step sets.
+    """
+    step = np.diff(src)
+    fits = same & ((step == 0) | (step == 1))
+    turn = np.zeros_like(fits)  # a fitting step after one of another stride
+    turn[1:] = fits[1:] & fits[:-1] & (step[1:] != step[:-1])
+    # a turn ends its run unless the step before it ended one, so in a chain
+    # of turns every other one ends a run, the first one included
+    at = np.arange(turn.size)
+    lead = turn & ~np.append(False, turn[:-1])
+    nth = at - np.maximum.accumulate(np.where(lead, at, 0))
+    start = np.ones(src.size, dtype=bool)
+    start[1:] = ~fits | (turn & (nth % 2 == 0))
+    first = np.flatnonzero(start)
+    return first, np.append(first, src.size)[1:] - 1
+
+
+def _runs(first, last, rows, srcs, weights, combine) -> list[_Run]:
+    """The runs whose first and last entries are first and last; rows and
+    srcs hold the buffer row and the source row of every entry."""
+
+    def slices(index):
+        return map(slice, index[first].tolist(), (index[last] + 1).tolist())
+
+    # tuple.__new__ makes each _Run in C, without a Python-level call
+    fields = zip(slices(rows), slices(srcs), weights, combine)
+    return list(map(tuple.__new__, repeat(_Run), fields))
+
+
 def _compile(net: ReluNetwork) -> _Plan:
-    """Sort the rows of every layer into copy and sparse rows, in one
-    vectorised pass over the concatenated matrices."""
+    """Sort the rows of every layer into copy and sparse rows and split
+    every term into runs, in one vectorised pass over the concatenated
+    matrices."""
     layers = net.layers
     depth = len(layers)
     in_dims = np.array([layer.in_dim for layer in layers])
@@ -241,50 +297,74 @@ def _compile(net: ReluNetwork) -> _Plan:
     deep = ell > 0
     src[deep] = pos[row_start[ell[deep] - 1] + col[deep]]
 
+    # the sparse rows' nonzeros by (layer, term, buffer row); term k covers
+    # buffer rows 0 .. n_k - 1, so each term starts at row 0
     sparse = np.flatnonzero(~copy[grow])
     sparse = sparse[np.lexsort((pos[grow[sparse]], term[sparse], ell[sparse]))]
-    layer_cut = np.searchsorted(ell[sparse], np.arange(depth + 1))
+    rows, srcs, weights = pos[grow[sparse]], src[sparse], weight[sparse]
+    first, last = _run_bounds(rows[1:] > 0, srcs)
+    minus = np.logical_and.reduceat(weights == -1.0, first) & (term[sparse[first]] > 0)
+    scaled = ~np.logical_and.reduceat(weights == 1.0, first) & ~minus
+    column = weights.reshape(-1, 1)
+    factors = [
+        column[i : j + 1] if m else None
+        for i, j, m in zip(first.tolist(), last.tolist(), scaled.tolist())
+    ]
+    combine = [np.subtract if m else np.add for m in minus.tolist()]
+    runs = _runs(first, last, rows, srcs, factors, combine)
+    term_start = np.flatnonzero(rows[first] == 0)
+    term_cut = np.append(term_start, len(runs)).tolist()
+    terms = [tuple(runs[a:b]) for a, b in zip(term_cut, term_cut[1:])]
+    term_layer = ell[sparse[first[term_start]]]
+    layer_terms = np.searchsorted(term_layer, np.arange(depth + 1)).tolist()
+
     copy_rows = np.flatnonzero(copy)
+    copy_layer, copy_pos = row_layer[copy_rows], pos[copy_rows]
     copy_src = src[np.searchsorted(grow, copy_rows)]
-    copy_cut = np.searchsorted(copy_rows, row_start)
+    first, last = _run_bounds(copy_layer[1:] == copy_layer[:-1], copy_src)
+    copies = _runs(first, last, copy_pos, copy_src, repeat(None), repeat(np.add))
+    layer_copies = np.searchsorted(copy_layer[first], np.arange(depth + 1)).tolist()
+    n_sparse = out_dims - np.bincount(copy_layer, minlength=depth)
     ordered_bias = (bias[order] + 0.0).reshape(-1, 1)  # -0.0 becomes +0.0
 
-    steps = []
-    for i in range(depth):
-        nz_i = sparse[layer_cut[i] : layer_cut[i + 1]]
-        ends = np.cumsum(np.bincount(term[nz_i])).tolist()
-        src_i, weight_i = src[nz_i], weight[nz_i].reshape(-1, 1)
-        n_sparse = int(out_dims[i]) - (copy_cut[i + 1] - copy_cut[i])
-        steps.append(
-            _Step(
-                terms=tuple(
-                    (src_i[a:b], weight_i[a:b]) for a, b in zip([0] + ends, ends)
-                ),
-                bias=ordered_bias[row_start[i] : row_start[i] + n_sparse],
-                copies=copy_src[copy_cut[i] : copy_cut[i + 1]],
-                rows=int(out_dims[i]),
-            )
+    steps = tuple(
+        _Step(
+            terms=tuple(terms[layer_terms[i] : layer_terms[i + 1]]),
+            bias=ordered_bias[row_start[i] : row_start[i] + n_sparse[i]],
+            copies=tuple(copies[layer_copies[i] : layer_copies[i + 1]]),
+            rows=int(out_dims[i]),
         )
+        for i in range(depth)
+    )
     # terms narrow as k grows, so term 1 is a layer's widest after term 0
     scratch = int(np.bincount(ell[term == 1], minlength=1).max())
-    return _Plan(tuple(steps), max(net.dims), scratch, pos[row_start[-2] :])
+    return _Plan(steps, max(net.dims), scratch, pos[row_start[-2] :])
 
 
 def _affine_step(step: _Step, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """Pre-activations of one layer in buffer order: h (rows of the previous
-    layer, n) -> out (step.rows, n).  tmp holds the terms after the first, so
-    it needs as many rows as the widest of them (the plan's scratch)."""
+    layer, n) -> out (step.rows, n).  Every source is a basic slice of h.
+    tmp holds the products of the runs after the first term, so it needs as
+    many rows as the longest of them; the plan's scratch, the widest term
+    after the first, is enough."""
     acc = out[: len(step.bias)]
-    for k, (src, weights) in enumerate(step.terms):
-        t = tmp[: len(src)] if k else acc[: len(src)]  # term 0 starts the sum
-        np.take(h, src, axis=0, out=t, mode="clip")
-        np.multiply(t, weights, out=t)
-        if k:
-            head = acc[: len(src)]
-            np.add(head, t, out=head)
-    acc[len(step.terms[0][0]) if step.terms else 0 :].fill(0.0)  # no nonzero weight
+    for k, runs in enumerate(step.terms):
+        for rows, src, weights, combine in runs:
+            head, x = acc[rows], h[src]
+            if not k:  # term 0 starts the sum
+                if weights is None:
+                    head[...] = x
+                else:
+                    np.multiply(x, weights, out=head)
+                continue
+            if weights is not None:
+                x = np.multiply(x, weights, out=tmp[: len(weights)])
+            combine(head, x, out=head)
+    filled = step.terms[0][-1].rows.stop if step.terms else 0
+    acc[filled:].fill(0.0)  # rows with no nonzero weight
     np.add(acc, step.bias, out=acc)
-    np.take(h, step.copies, axis=0, out=out[len(step.bias) :], mode="clip")
+    for rows, src, _, _ in step.copies:
+        out[rows] = h[src]
 
 
 def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:

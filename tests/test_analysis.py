@@ -232,6 +232,15 @@ def test_dead_rows_on_an_interval_and_on_r():
     assert dead_rows(mirrored) == [(1, 0)]
 
 
+def test_dead_rows_on_r_gives_up_on_rounding_noise():
+    # rows constant in exact arithmetic have noisy end slopes, whose implied
+    # crossings move out with every widening; a finite interval has no ends
+    net = gaussian_network(1, 1e-1)
+    with pytest.raises(ResolutionError, match="after 40 widenings"):
+        dead_rows(net)
+    assert len(dead_rows(net, (-8.0, 8.0))) == 38
+
+
 def test_dead_rows_needs_a_1d_network():
     with pytest.raises(DimensionError):
         dead_rows(multiply_network(1.0, 1e-2))

@@ -132,3 +132,48 @@ def test_calibrations_of_two_sessions_are_refused(tmp_path, quick_calibration):
     path.write_text(json.dumps(dict(data, session="other")))
     with pytest.raises(bench_record.RecordError, match="sessions"):
         bench_record.record(tmp_path, tmp_path)
+
+
+def _session_of_two_commits(out, dest):
+    """BENCH files in dest with entries of abc123 and def456 from one session
+    whose two calibrations read numpy_s 1 and 3 s."""
+    out.mkdir()
+    dest.mkdir()
+    for seed in (1, 2, 3):
+        _result(out, "eval_deep", seed, 0, _plain(seed))
+        _result(out, "eval_deep", seed + 10, 0, _plain(seed + 1), commit="def456")
+    for value in (1.0, 3.0):
+        path = bench_record.calibrate(out)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), numpy_s=value)))
+    bench_record.record(out, dest, "abc123")
+    bench_record.record(out, dest, "def456")
+
+
+def test_compare_prints_raw_and_calibrated_medians(tmp_path, quick_calibration, capsys):
+    out, dest = tmp_path / "out", tmp_path / "dest"
+    _session_of_two_commits(out, dest)
+    assert bench_record.main(["--compare", "abc", "def", "--dest", str(dest)]) == 0
+    head, columns, *rows = capsys.readouterr().out.splitlines()
+    assert head.startswith("eval_deep: abc123 -> def456, session ")
+    assert head.endswith("numpy_s 2 s (mean of 2)")
+    assert columns.split()[0] == "metric"
+    # medians 0.2 / 0.3, 50 / 50 and 3 / 4, over the session's mean numpy_s 2
+    assert [row.split() for row in rows] == [
+        ["setup_s", "0.2", "0.3", "0.1", "0.15", "1.500"],
+        ["peak_rss_mb", "50", "50", "1.000"],
+        ["pass_s", "3", "4", "1.5", "2", "1.333"],
+    ]
+
+
+def test_compare_refuses_entries_of_two_sessions(tmp_path, quick_calibration, capsys):
+    out, dest = tmp_path / "out", tmp_path / "dest"
+    _session_of_two_commits(out, dest)
+    path = dest / "BENCH_eval_deep.json"
+    data = json.loads(path.read_text())
+    for session in ("other", None):
+        data["entries"][1]["session"] = session
+        path.write_text(json.dumps(data))
+        assert bench_record.main(["--compare", "abc", "def", "--dest", str(dest)]) == 2
+        assert "not of one" in capsys.readouterr().err
+    with pytest.raises(bench_record.RecordError, match="holds entries"):
+        bench_record.compare(dest, "abc", "fff")

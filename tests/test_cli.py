@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -75,6 +76,21 @@ def test_build_bspline_at_too_high_order_exits_2_naming_m(capsys, m):
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
     assert f"order m = {m} is too large for eps = 0.01" in stderr
+
+
+def test_build_cutoff_at_too_high_dimension_exits_2_before_allocating(capsys):
+    # 1.6e9 dense weights (12.8 GB) are refused from the gate's dims alone
+    tracemalloc.start()
+    try:
+        code, stdout, stderr = run_cli(capsys, "build", "cutoff", "--m", "20000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "dimension 20000 is too large" in stderr
+    assert peak < 2 ** 20
 
 
 def test_sweep_bspline_order_ten_meets_eps(capsys):

@@ -321,7 +321,7 @@ def test_plan_scratch_is_the_widest_term_after_the_first(key):
     # plan's scratch rows are enough and give what plan.width rows give
     net = BUILDS[key]()
     plan = net._plan
-    widths = [len(src) for step in plan.steps for src, _ in step.terms[1:]]
+    widths = [runs[-1].rows.stop for step in plan.steps for runs in step.terms[1:]]
     assert plan.scratch == max(widths, default=0)
     n = 64
     h = np.random.default_rng(0).uniform(-2.0, 2.0, (net.in_dim, n))
@@ -337,6 +337,128 @@ def assert_bitwise_column_sequential(net, xs):
     got = evaluate_batch(net, xs)
     want = column_sequential(net, xs)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def greedy_runs(same, src):
+    """Reference split: scan each group and extend a run while its source
+    keeps the stride, 0 or 1, that the run's first step set."""
+    first, last, i = [], [], 0
+    while i < len(src):
+        j, stride = i, None
+        while j + 1 < len(src) and same[j] and src[j + 1] - src[j] in (0, 1):
+            if stride is None:
+                stride = src[j + 1] - src[j]
+            elif src[j + 1] - src[j] != stride:
+                break
+            j += 1
+        first.append(i)
+        last.append(j)
+        i = j + 1
+    return first, last
+
+
+def test_run_bounds_match_a_greedy_scan():
+    rng = np.random.default_rng(27)
+    for n in list(range(6)) * 20 + [200] * 20:
+        src = np.cumsum(rng.choice([0, 1, 1, -1, 3], n)) if n else np.zeros(0, int)
+        same = rng.random(max(n - 1, 0)) < 0.9
+        first, last = core._run_bounds(same, src)
+        assert (first.tolist(), last.tolist()) == greedy_runs(same, src.tolist())
+
+
+def run_plan_nets():
+    """Hand-built nets whose plans hold every kind of run; see
+    test_run_plan_nets_cover_every_run_kind for the kinds."""
+    z = -0.0
+    # layer 0: six full rows (one source feeds many rows: 1.0 in term 0,
+    # -1.0 in term 1, mixed in term 2), then three rows on consecutive inputs
+    wide = (
+        [[1.0, -1.0, w] for w in (2.0, -1.0, 1.0, 0.5, -3.0, 1.0)]
+        + [[1.0, z, z], [z, 1.0, z], [z, z, 1.0]],
+        [0.5, z, 0.0, -0.25, 1.0, z, z, 0.0, -0.5],
+    )
+    mix = (
+        [[1.0, -1.0, 0.5, 1.0, z, -1.0, 2.0, -1.0, 1.0], [-1.0] * 5 + [1.0] * 4],
+        [z, 0.25],
+    )
+    # layer 1 reads the columns below, term k the k-th of each row: term 0
+    # is 0 0 0 0 | 1 2 3 4 | 1 | 2, term 1 is 3 3 | 4 5 | 2 3 4 | 6 | 5 | 3
+    # (reversed, then scattered), term 2 is 4 5 6 7 | 7 7 7 7 | 6 | 4
+    cols = [
+        (0, 3, 4), (0, 3, 5), (0, 4, 6), (0, 5, 7), (1, 2, 7),
+        (2, 3, 7), (3, 4, 7), (4, 6, 7), (1, 5, 6), (2, 3, 4),
+    ]  # fmt: skip
+    weights = [
+        (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, -1.0, 1.0),
+        (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (-1.0, 0.5, 1.0), (-1.0, 1.5, 1.0),
+        (2.0, -2.0, -1.0), (1.0, 1.0, 1.0),
+    ]  # fmt: skip
+    deep = np.full((10, 8), z)
+    for i, (c, w) in enumerate(zip(cols, weights)):
+        deep[i, list(c)] = w
+    fan = (
+        [[1.0], [-1.0], [2.0], [-0.5], [1.0], [-1.0], [3.0], [1.0]],
+        [0.0, 0.5, -0.5, 0.25, -1.0, 1.0, 0.0, z],
+    )
+    # copy rows on layer-1 rows 3 4 5 and twice on row 0 (bias -0.0 too),
+    # after a nine-term row and a one-term row of weight -1.0
+    last = np.full((7, 10), z)
+    last[0, :] = [1.0, -1.0, z, 1.0, 0.5, -1.0, 0.0, 1.0, -1.0, 2.0]
+    last[1, 9] = -1.0
+    for i, c in enumerate((3, 4, 5, 0, 0)):
+        last[2 + i, c] = 1.0
+    negate = ([[-1.0], [-1.0], [-1.0]], [z, 0.0, 0.5])
+    return [
+        network([wide, mix]),
+        network(
+            [
+                fan,
+                (deep, [z, 0.0, 0.5, -0.5, z, 1.0, -1.0, 0.0, 0.25, z]),
+                (last, [-0.5, 0.0, 0.0, z, 0.0, z, 0.0]),
+            ]
+        ),
+        network([negate]),
+    ]
+
+
+def run_kind(k, run):
+    rows, src, weights, combine = run
+    if rows.stop - rows.start == 1:
+        stride = "one"
+    else:
+        stride = "0" if src.stop - src.start == 1 else "1"
+    if weights is None:
+        factor = "skip" if combine is np.add else "subtract"
+    elif np.all(weights == -1.0):
+        factor = "-1"
+    else:
+        factor = "mixed" if np.any(weights != weights[0]) else "uniform"
+    return ("first" if k == 0 else "later", stride, factor)
+
+
+def test_run_plan_nets_cover_every_run_kind():
+    kinds = set()
+    for net in run_plan_nets():
+        for step in net._plan.steps:
+            for k, runs in enumerate(step.terms):
+                kinds |= {run_kind(k, run) for run in runs}
+            kinds |= {("copy",) + run_kind(0, run)[1:] for run in step.copies}
+    first = {("first", s, f) for s in "01" for f in ("skip", "-1", "mixed")}
+    later = {("later", s, f) for s in ("0", "1", "one") for f in ("skip", "subtract")}
+    later |= {("later", s, "mixed") for s in "01"}
+    assert first | later | {("copy", "0", "skip"), ("copy", "1", "skip")} <= kinds
+    # term 0 starts the sum, so a -1.0 run there multiplies
+    assert not {kind for kind in kinds if kind[::2] == ("first", "subtract")}
+
+
+@pytest.mark.parametrize("n", [1, 64, core.CHUNK_POINTS - 1, core.CHUNK_POINTS + 1])
+def test_run_plan_is_bitwise_column_sequential(n):
+    rng = np.random.default_rng(n)
+    for net in run_plan_nets():
+        xs = rng.uniform(-2.0, 2.0, (n, net.in_dim))
+        xs[rng.random(xs.shape) < 0.3] = -0.0
+        xs[rng.random(xs.shape) < 0.15] = 0.0
+        assert_bitwise_column_sequential(net, xs)
 
 
 def test_signed_zero_sums_with_negative_zero_bias():

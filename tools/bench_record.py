@@ -3,6 +3,7 @@
     python3 tools/bench_record.py --calibrate [--out-dir perfbench/out]
     python3 tools/bench_record.py [--out-dir perfbench/out] [--commit SHA]
                                   [--note TEXT] [--dest .]
+    python3 tools/bench_record.py --compare PARENT CHANGE [--dest .]
 
 With --calibrate it times a fixed calibration and adds it to --out-dir as
 a `calibration-*.json` file: a seeded numpy take / multiply / add loop
@@ -30,6 +31,15 @@ of several commits), and writes one entry per workload to
 Each file is {"workload": name, "entries": [...]}, one entry per commit: an
 entry for a commit already there replaces it, in place.  The script writes;
 it does not judge.
+
+With --compare it reads the `BENCH_*.json` files in --dest and, for every
+workload holding an entry of both commits (each named by a prefix), prints
+the median of each end-to-end metric for both, the timings (the metrics
+in seconds) divided by the session's mean `numpy_s` calibration, and the
+ratio change / parent, which within one session is the same raw or
+calibrated.  The mean is over the distinct calibrations the two entries
+store.  Entries of different sessions, or without one, are refused: their
+medians measure different host states.
 """
 
 from __future__ import annotations
@@ -195,6 +205,53 @@ def record(
     return written
 
 
+def _entry_of(entries: list[dict], commit: str) -> dict | None:
+    found = [e for e in entries if e["commit"].startswith(commit)]
+    if len(found) > 1:
+        names = [e["commit"] for e in found]
+        raise RecordError(f"commit {commit!r} names entries {names}")
+    return found[0] if found else None
+
+
+def compare(dest: Path, parent: str, change: str) -> list[str]:
+    """The lines of --compare for the entries of two commits in dest."""
+    lines = []
+    for path in sorted(dest.glob("BENCH_*.json")):
+        data = json.loads(path.read_text())
+        pair = [_entry_of(data["entries"], c) for c in (parent, change)]
+        if None in pair:
+            continue
+        old, new = pair
+        sessions = [e.get("session") for e in pair]  # older entries have none
+        if None in sessions or sessions[0] != sessions[1]:
+            raise RecordError(
+                f"{data['workload']}: the entries of {old['commit']} and "
+                f"{new['commit']} are of sessions {sessions}, not of one"
+            )
+        calibrations = [c for e in pair for c in e["calibration"].values() if c]
+        found = {c["time"]: c["numpy_s"] for c in calibrations}
+        scale = statistics.mean(found.values())
+        lines += [
+            f"{data['workload']}: {old['commit'][:12]} -> {new['commit'][:12]}, "
+            f"session {sessions[0]}, numpy_s {scale:.4g} s (mean of {len(found)})",
+            f"  {'metric':<12} {'parent':>10} {'change':>10}"
+            f" {'parent/numpy_s':>14} {'change/numpy_s':>14} {'ratio':>7}",
+        ]
+        for name in END_TO_END:
+            if name not in old["end_to_end"] or name not in new["end_to_end"]:
+                continue
+            a, b = (e["end_to_end"][name]["median"] for e in pair)
+            # only timings are divided: a memory peak does not scale with the host
+            timing = name.endswith("_s")
+            scaled = f"{a / scale:14.4g} {b / scale:14.4g}" if timing else ""
+            lines.append(f"  {name:<12} {a:10.4g} {b:10.4g} {scaled:>29} {b / a:7.3f}")
+    if not lines:
+        raise RecordError(
+            f"no BENCH_*.json in {dest} holds entries of {parent} and {change}"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out-dir", type=Path, default=ROOT / "perfbench" / "out")
@@ -202,17 +259,21 @@ def main(argv=None) -> int:
     p.add_argument("--note")
     p.add_argument("--dest", type=Path, default=ROOT)
     p.add_argument("--calibrate", action="store_true")
+    p.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"))
     args = p.parse_args(argv)
     if args.calibrate:
         print(calibrate(args.out_dir))
         return 0
     try:
-        paths = record(args.out_dir, args.dest, args.commit, args.note)
+        if args.compare:
+            lines = compare(args.dest, *args.compare)
+        else:
+            lines = record(args.out_dir, args.dest, args.commit, args.note)
     except RecordError as err:
         print(err, file=sys.stderr)
         return 2
-    for path in paths:
-        print(path)
+    for line in lines:
+        print(line)
     return 0
 
 
