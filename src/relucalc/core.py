@@ -235,19 +235,20 @@ def _run_bounds(same: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarr
     group (same[i] says whether entries i and i + 1 are) and its source
     steps by the run's stride, 0 or 1, which the run's first step sets.
     """
-    step = np.diff(src)
+    step = src[1:] - src[:-1]
     fits = same & ((step == 0) | (step == 1))
-    turn = np.zeros_like(fits)  # a fitting step after one of another stride
+    turn = np.zeros(fits.size, dtype=bool)  # a fitting step after one of another stride
     turn[1:] = fits[1:] & fits[:-1] & (step[1:] != step[:-1])
     # a turn ends its run unless the step before it ended one, so in a chain
     # of turns every other one ends a run, the first one included
+    lead = turn.copy()  # the first turn of each chain
+    lead[1:] &= ~turn[:-1]
     at = np.arange(turn.size)
-    lead = turn & ~np.append(False, turn[:-1])
     nth = at - np.maximum.accumulate(np.where(lead, at, 0))
     start = np.ones(src.size, dtype=bool)
     start[1:] = ~fits | (turn & (nth % 2 == 0))
     first = np.flatnonzero(start)
-    return first, np.append(first, src.size)[1:] - 1
+    return first, np.concatenate((first, [src.size]))[1:] - 1
 
 
 def _runs(first, last, rows, srcs, weights, combine) -> list[_Run]:
@@ -313,7 +314,7 @@ def _compile(net: ReluNetwork) -> _Plan:
     combine = [np.subtract if m else np.add for m in minus.tolist()]
     runs = _runs(first, last, rows, srcs, factors, combine)
     term_start = np.flatnonzero(rows[first] == 0)
-    term_cut = np.append(term_start, len(runs)).tolist()
+    term_cut = term_start.tolist() + [len(runs)]
     terms = [tuple(runs[a:b]) for a, b in zip(term_cut, term_cut[1:])]
     term_layer = ell[sparse[first[term_start]]]
     layer_terms = np.searchsorted(term_layer, np.arange(depth + 1)).tolist()

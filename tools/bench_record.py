@@ -7,8 +7,9 @@
 
 With --calibrate it times a fixed calibration and adds it to --out-dir as
 a `calibration-*.json` file: a seeded numpy take / multiply / add loop
-shaped like one layer of `core._affine_step`, and a pure-Python loop.  Run
-it right before and right after the benchmark runs.  The first calibration
+over one 24-row layer of 8192 points, and a pure-Python loop.  Both are
+fixed, so they measure the host, not the code under test.  Run them right
+before and right after the benchmark runs.  The first calibration
 in a directory draws a session id, and later ones there keep it.
 
 Otherwise it reads the `result-*.json` files that `perfbench/run.py` wrote
