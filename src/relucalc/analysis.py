@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -16,7 +17,6 @@ from .core import (
     _affine_step,
     _interval,
     evaluate_batch,
-    metrics,
 )
 
 BREAK_MERGE_TOL = 1e-12
@@ -119,6 +119,22 @@ def _relu_pass(grid: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return grid, np.maximum(vals, 0.0, out=vals)
 
 
+def _breakpoint_walk(net: ReluNetwork, a: float, b: float):
+    """exact_pwl's grid and plan-step pre-activations (rows in buffer order)
+    of each layer of net on [a, b].  Resuming runs _relu_pass on the layer
+    last yielded, which clips it in place; the output layer gets none."""
+    plan = net._plan
+    grid = np.array([a, b])
+    vals = grid.reshape(1, -1)
+    for i, step in enumerate(plan.steps):
+        pre = np.empty((step.rows, grid.size))
+        _affine_step(step, vals, pre, np.empty((plan.scratch, grid.size)))
+        vals = pre  # the layer's input is freed before its ReLU pass
+        yield grid, vals
+        if i < net.depth - 1:
+            grid, vals = _relu_pass(grid, vals)
+
+
 def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     """Exact piecewise-linear form of a 1-in 1-out network on [a, b].
 
@@ -135,17 +151,10 @@ def exact_pwl(net: ReluNetwork, interval: tuple[float, float]) -> PwlFunction:
     """
     if net.in_dim != 1 or net.out_dim != 1:
         raise DimensionError("exact piecewise form needs a 1-D network")
-    a, b = _interval(interval)
-    plan = net._plan
-    grid = np.array([a, b])
-    vals = grid.reshape(1, -1)
-    for i, step in enumerate(plan.steps):
-        pre = np.empty((step.rows, grid.size))
-        _affine_step(step, vals, pre, np.empty((plan.scratch, grid.size)))
-        vals = pre
-        if i < net.depth - 1:
-            grid, vals = _relu_pass(grid, vals)
-    return PwlFunction(grid, vals[plan.out_rows[0]])
+    # islice drops each hidden layer as soon as the walk yields it
+    walk = islice(_breakpoint_walk(net, *_interval(interval)), net.depth - 1, None)
+    grid, pre = next(walk)
+    return PwlFunction(grid, pre[net._plan.pos[-1]])
 
 
 # widenings of the search interval after which dead_rows gives up on R
@@ -157,12 +166,12 @@ def dead_rows(net: ReluNetwork, interval=None) -> list[tuple[int, int]]:
     whose pre-activation is <= 0 at every breakpoint of the layer before it,
     on [a, b] or, with interval None, on all of R.
 
-    The breakpoints are exact_pwl's, and each pre-activation is the
-    column-sequential sum of the evaluation contract, so it is bitwise the
-    evaluator's.  On R the search interval starts at [-1, 1] and widens
-    until every row's zero crossings lie strictly inside it; the end pieces
-    then carry the slopes out to +-inf, and a row counts as dead when it is
-    <= 0 at every breakpoint and falls away from both ends.
+    Breakpoints and pre-activations are exact_pwl's, from the plan step, so
+    bitwise the contract's column-sequential sums; rows are numbered as in
+    net.layers.  On R the search interval starts at [-1, 1] and widens until
+    every row's zero crossings lie strictly inside it; the end pieces then
+    carry the slopes out to +-inf, and a row counts as dead when it is <= 0
+    at every breakpoint and falls away from both ends.
 
     This is a test oracle, not a float proof: BREAK_MERGE_TOL merges
     breakpoints, so a row positive only between two merged points reads as
@@ -176,14 +185,12 @@ def dead_rows(net: ReluNetwork, interval=None) -> list[tuple[int, int]]:
     if net.in_dim != 1 or net.out_dim != 1:
         raise DimensionError("dead rows are found for 1-D networks only")
     a, b = (-1.0, 1.0) if interval is None else _interval(interval)
+    # the buffer row of each row of each hidden layer
+    hidden = np.split(net._plan.pos, np.cumsum(net.dims[1:-1]))[:-1]
     for _ in range(_MAX_WIDENINGS):
-        grid = np.array([a, b])
-        h, dead, outside = grid.reshape(1, -1), [], []
-        for ell, layer in enumerate(net.layers[:-1]):
-            pre = np.zeros((layer.out_dim, grid.size))
-            for j, column in enumerate(layer.matrix.T):
-                pre += column[:, None] * h[j]
-            pre += layer.bias[:, None]
+        dead, outside = [], []
+        walk = zip(hidden, _breakpoint_walk(net, a, b))
+        for ell, (rows, (grid, pre)) in enumerate(walk):
             down = np.all(pre <= 0.0, axis=1)
             if interval is None:
                 for end, inner in ((0, 1), (-1, -2)):
@@ -196,8 +203,7 @@ def dead_rows(net: ReluNetwork, interval=None) -> list[tuple[int, int]]:
                     down &= rise <= 0.0
                 if outside:
                     break
-            dead.extend((ell, int(row)) for row in np.flatnonzero(down))
-            grid, h = _relu_pass(grid, pre)
+            dead.extend((ell, int(row)) for row in np.flatnonzero(down[rows]))
         if not outside:
             return dead
         span = b - a
@@ -224,8 +230,7 @@ def count_linear_regions(
 
 def region_bound(net: ReluNetwork) -> int:
     """(2 * width) ** depth, the piece-count bound for 1-D networks."""
-    stats = metrics(net)
-    return (2 * stats.width) ** stats.depth
+    return (2 * max(net.dims)) ** net.depth
 
 
 # --- error measurement --------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AffineLayer, DimensionError, ReluNetwork, network
+from .core import AffineLayer, DimensionError, ReluNetwork, _magnitude, network
 
 
 def _stack_pm(layer: AffineLayer) -> AffineLayer:
@@ -22,10 +22,6 @@ def _stack_pm(layer: AffineLayer) -> AffineLayer:
         np.vstack([layer.matrix, -layer.matrix]),
         np.concatenate([layer.bias, -layer.bias]),
     )
-
-
-def _magnitude(layer: AffineLayer) -> float:
-    return float(max(np.max(np.abs(layer.matrix)), np.max(np.abs(layer.bias))))
 
 
 def _merge(a: AffineLayer, w: AffineLayer) -> AffineLayer | None:
@@ -281,7 +277,7 @@ def reduce_weights(net: ReluNetwork) -> ReluNetwork:
 def _reduce_weights(net: ReluNetwork, nonnegative: bool) -> ReluNetwork:
     """reduce_weights(net); nonnegative states that net's output is >= 0 in
     floats, and so is the scaled one, which the rescale then reads."""
-    b = max(_magnitude(layer) for layer in net.layers)
+    b = max(map(_magnitude, net.layers))
     if b <= 1.0:
         return net
     scaled = []

@@ -20,7 +20,8 @@ from functools import cache, partial
 import numpy as np
 
 from ..calculus import _scalar_mult, compose, linear_combination_shared
-from ..core import AffineLayer, ReluNetwork, _check_eps, network
+from .. import core
+from ..core import AffineLayer, ReluNetwork, _check_eps, _dense_entries, network
 from .algebra import _pow2_ceil, multiply_network
 
 
@@ -56,13 +57,6 @@ def cardinal_bspline(m: int, x) -> float:
     return _truncated_power_sum(m, p, q) / (math.factorial(m - 1) * q ** (m - 1))
 
 
-# Dense float64 entries (the sum of rows x cols over all layers) above which
-# a de Boor pyramid or a plateau gate is refused before anything is built:
-# 2^25 entries hold 256 MiB.  The B-spline of order 49 at eps 1e-2 needs
-# 3.3e7, order 60 6.4e7; the widest gate accepted has dimension 2,896.
-MAX_DENSE_ENTRIES = 2 ** 25
-
-
 def _plateau_gate(
     lo: float, hi: float, ramp: float, dim: int = 1, scale: float | None = None
 ) -> tuple[ReluNetwork, float]:
@@ -76,15 +70,14 @@ def _plateau_gate(
     on its plateau.  The first layer is divided by scale, a power of two that
     by default is the smallest keeping all weights at most 1, so the scaled
     arithmetic mirrors the unscaled one bit for bit.  A gate of more than
-    MAX_DENSE_ENTRIES dense weights (4 dim^2 + dim + 1 for dim > 1) is
+    core.MAX_DENSE_ENTRIES dense weights (4 dim^2 + dim + 1 for dim > 1) is
     refused with ValueError before any matrix exists.
     """
-    dims = [dim, 2 * dim, dim] + [1] * (dim > 1) + [1]
-    dense = sum(a * b for a, b in zip(dims, dims[1:]))
-    if dense > MAX_DENSE_ENTRIES:
+    dense = _dense_entries([dim, 2 * dim, dim] + [1] * (dim > 1) + [1])
+    if dense > core.MAX_DENSE_ENTRIES:
         raise ValueError(
             f"dimension {dim} is too large: its plateau gate holds {dense:,} "
-            f"dense weights, more than MAX_DENSE_ENTRIES = {MAX_DENSE_ENTRIES:,}"
+            f"dense weights, more than MAX_DENSE_ENTRIES = {core.MAX_DENSE_ENTRIES:,}"
         )
     if scale is None:
         scale = _pow2_ceil(max(abs(lo), abs(hi), ramp, (dim - 1) * ramp))
@@ -241,11 +234,11 @@ def _de_boor_pyramid(
     dense, previous = 0, 1
     for rows in _pyramid_layers(m, shifts, tol):
         dense, previous = dense + len(rows) * previous, len(rows)
-        if dense > MAX_DENSE_ENTRIES:
+        if dense > core.MAX_DENSE_ENTRIES:
             raise ValueError(
                 f"order m = {m} is too large for eps = {eps}: its de Boor "
                 f"pyramid holds more than MAX_DENSE_ENTRIES = "
-                f"{MAX_DENSE_ENTRIES:,} dense weights"
+                f"{core.MAX_DENSE_ENTRIES:,} dense weights"
             )
     layers, keys = [], {"y": 0}
     for rows in map(list, _pyramid_layers(m, shifts, tol)):

@@ -62,6 +62,19 @@ def _interval(bounds, what: str = "interval") -> tuple[float, float]:
     return a, b
 
 
+# Dense float64 entries (`_dense_entries`) above which a network is refused
+# before its matrices exist: 2^25 entries hold 256 MiB.  The B-spline of
+# order 49 at eps 1e-2 needs 3.3e7, order 60 6.4e7; the widest plateau gate
+# accepted has dimension 2,896; a codec header of about M bits can ask
+# decode for depth * (2M)^2.
+MAX_DENSE_ENTRIES = 2 ** 25
+
+
+def _dense_entries(dims) -> int:
+    """The sum of rows x cols over the layers of a network with dims."""
+    return sum(a * b for a, b in zip(dims, dims[1:]))
+
+
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps < 0.5):
         raise ValueError(f"tolerance must lie in (0, 1/2), got {eps}")
@@ -115,6 +128,10 @@ class AffineLayer:
     @property
     def out_dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _magnitude(layer: AffineLayer) -> float:
+    return float(max(np.max(np.abs(layer.matrix)), np.max(np.abs(layer.bias))))
 
 
 @dataclass(frozen=True)
@@ -225,7 +242,7 @@ class _Plan(NamedTuple):
     steps: tuple[_Step, ...]
     width: int
     scratch: int  # rows of the widest term after the first, in any step
-    out_rows: np.ndarray  # buffer row of each output coordinate
+    pos: np.ndarray  # buffer row of every row, layer by layer; outputs last
 
 
 def _run_bounds(same: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +356,7 @@ def _compile(net: ReluNetwork) -> _Plan:
     )
     # terms narrow as k grows, so term 1 is a layer's widest after term 0
     scratch = int(np.bincount(ell[term == 1], minlength=1).max())
-    return _Plan(steps, max(net.dims), scratch, pos[row_start[-2] :])
+    return _Plan(steps, max(net.dims), scratch, pos)
 
 
 def _affine_step(step: _Step, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -403,27 +420,21 @@ def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
                 head = nxt[: len(step.bias)]
                 np.maximum(head, 0.0, out=head)
             h = nxt
-        out[start : start + n] = h[plan.out_rows].T
+        out[start : start + n] = h[plan.pos[-net.out_dim :]].T
     return out
 
 
 def metrics(net: ReluNetwork) -> NetworkMetrics:
     """Connectivity, depth, width, and weight magnitude of a network."""
-    nonzeros = 0
-    magnitude = 0.0
-    for layer in net.layers:
-        nonzeros += int(np.count_nonzero(layer.matrix))
-        nonzeros += int(np.count_nonzero(layer.bias))
-        magnitude = max(
-            magnitude,
-            float(np.max(np.abs(layer.matrix))),
-            float(np.max(np.abs(layer.bias))),
-        )
+    nonzeros = sum(
+        int(np.count_nonzero(layer.matrix)) + int(np.count_nonzero(layer.bias))
+        for layer in net.layers
+    )
     return NetworkMetrics(
         connectivity=nonzeros,
         depth=net.depth,
         width=max(net.dims),
-        weight_magnitude=magnitude,
+        weight_magnitude=max(map(_magnitude, net.layers)),
     )
 
 

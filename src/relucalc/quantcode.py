@@ -18,15 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import AffineLayer, ReluNetwork, _check_eps, metrics
+from . import core
+from .core import AffineLayer, ReluNetwork, _check_eps, _dense_entries, metrics
 from .calculus import is_nondegenerate
-
-
-# decode refuses a header whose dense layer matrices would hold more than
-# this many entries (256 MiB of float64), before it reads the child lists:
-# a header of about M bits can ask for depth * (2M)**2 of them.  The same
-# cap as splines.MAX_DENSE_ENTRIES.
-MAX_DECODED_ENTRIES = 2 ** 25
 
 
 class QuantizationError(ValueError):
@@ -349,7 +343,7 @@ def encode(net: ReluNetwork, m: int, eps: float) -> BitString:
 def decode(bits: BitString, m: int, eps: float) -> ReluNetwork:
     """Invert encode: the network the bits encode, or CodecError for bits
     that encode emits for no network.  A header whose layers would hold more
-    than MAX_DECODED_ENTRIES dense entries is a CodecError too, raised before
+    than core.MAX_DENSE_ENTRIES dense entries is a CodecError too, raised before
     anything but the dimensions is read."""
     grid = QuantGrid(m, eps)
     width_b = grid.bits_per_weight
@@ -373,11 +367,11 @@ def decode(bits: BitString, m: int, eps: float) -> ReluNetwork:
     dims = [take(w_m) for _ in range(depth + 1)]
     if any(d < 1 for d in dims):
         raise CodecError("decoded layer dimensions must be positive")
-    dense = sum(a * b for a, b in zip(dims, dims[1:]))
-    if dense > MAX_DECODED_ENTRIES:
+    dense = _dense_entries(dims)
+    if dense > core.MAX_DENSE_ENTRIES:
         raise CodecError(
             f"decoded layers would hold {dense:,} dense entries, more than "
-            f"MAX_DECODED_ENTRIES = {MAX_DECODED_ENTRIES:,}"
+            f"MAX_DENSE_ENTRIES = {core.MAX_DENSE_ENTRIES:,}"
         )
     total_nodes = sum(dims)
     w_n = _index_width(total_nodes)

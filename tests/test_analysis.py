@@ -232,6 +232,25 @@ def test_dead_rows_on_an_interval_and_on_r():
     assert dead_rows(mirrored) == [(1, 0)]
 
 
+def test_dead_rows_numbers_rows_as_the_layers_do():
+    # layer 1 holds a copy of rho(x - 5), 2 rho(x) and rho(x - 5) - rho(x),
+    # which is <= 0 on R; the plan stores them in the opposite order
+    net = network(
+        [
+            ([[1.0], [1.0]], [0.0, -5.0]),
+            ([[0.0, 1.0], [2.0, 0.0], [-1.0, 1.0]], [0.0, 0.0, 0.0]),
+            ([[1.0, 1.0, 1.0]], [0.0]),
+        ]
+    )
+    step = net._plan.steps[1]
+    assert [run.rows for run in step.copies] == [slice(2, 3)]
+    assert [run.rows for run in step.terms[1]] == [slice(0, 1)]
+    assert dead_rows(net, (-1.0, 6.0)) == [(1, 2)]
+    assert dead_rows(net) == [(1, 2)]
+    # on (-1, 2) the copy's source is 0 too
+    assert dead_rows(net, (-1.0, 2.0)) == [(0, 1), (1, 0), (1, 2)]
+
+
 def test_dead_rows_on_r_gives_up_on_rounding_noise():
     # rows constant in exact arithmetic have noisy end slopes, whose implied
     # crossings move out with every widening; a finite interval has no ends

@@ -13,7 +13,7 @@ from relucalc.constructors import (
 )
 from relucalc.constructors.gabor import _exp_decay, _exp_tail_bound, _gaussian_radius
 from relucalc.constructors.smooth import MAX_DEGREE
-from relucalc.constructors import splines
+from relucalc import core
 from relucalc.constructors.splines import _plateau_gate
 
 from conftest import grid_eval
@@ -77,11 +77,11 @@ def test_plateau_gate_size_comes_before_its_matrices(dim, monkeypatch):
     # the gate counts exactly its built dense weights, 4 dim^2 + dim + 1 for
     # dim > 1: a cap of that many builds, one less refuses
     net = cutoff_network(1.0, dim)
-    dense = sum(a * b for a, b in zip(net.dims[1:], net.dims))
+    dense = core._dense_entries(net.dims)
     assert dense == (5 if dim == 1 else 4 * dim * dim + dim + 1)
-    monkeypatch.setattr(splines, "MAX_DENSE_ENTRIES", dense)
+    monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", dense)
     assert cutoff_network(1.0, dim) == net
-    monkeypatch.setattr(splines, "MAX_DENSE_ENTRIES", dense - 1)
+    monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", dense - 1)
     with pytest.raises(ValueError, match=f"dimension {dim} is too large"):
         cutoff_network(1.0, dim)
 

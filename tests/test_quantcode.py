@@ -15,7 +15,7 @@ from relucalc import (
     prune,
     write_network,
 )
-from relucalc import quantcode
+from relucalc import core
 from relucalc.constructors import (
     bspline_network,
     cosine_network,
@@ -504,13 +504,13 @@ def _identity(n):
 
 
 def test_decode_refuses_layers_above_the_dense_cap(monkeypatch):
-    monkeypatch.setattr(quantcode, "MAX_DECODED_ENTRIES", 399)
+    monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", 399)
     with pytest.raises(CodecError, match="400 dense entries"):
         decode(encode(_identity(20), 2, 0.25), 2, 0.25)
 
 
 def test_decode_keeps_a_large_identity_under_the_real_cap():
-    assert 1000 * 1000 <= quantcode.MAX_DECODED_ENTRIES
+    assert 1000 * 1000 <= core.MAX_DENSE_ENTRIES
     net = _identity(1000)
     assert decode(encode(net, 2, 0.25), 2, 0.25) == net
 

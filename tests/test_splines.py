@@ -22,9 +22,9 @@ from relucalc.constructors import (
     spline_wavelet_reference,
     square_network,
 )
-from relucalc.constructors import splines
+from relucalc import core
+from relucalc.core import MAX_DENSE_ENTRIES, _dense_entries
 from relucalc.constructors.splines import (
-    MAX_DENSE_ENTRIES,
     _de_boor_pyramid,
     _pyramid_layers,
     _truncated_power_sum,
@@ -251,10 +251,10 @@ def test_pyramid_rows_predict_the_built_dims(m, shifts, eps, monkeypatch):
     # the counting pass counts exactly the built network's dense weights, the
     # sum of rows x previous rows: a cap of that many builds, one less refuses
     net = _de_boor_pyramid(m, shifts, eps)
-    dense = sum(a * b for a, b in zip(net.dims[1:], net.dims))
-    monkeypatch.setattr(splines, "MAX_DENSE_ENTRIES", dense)
+    dense = _dense_entries(net.dims)
+    monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", dense)
     assert _de_boor_pyramid(m, shifts, eps) == net
-    monkeypatch.setattr(splines, "MAX_DENSE_ENTRIES", dense - 1)
+    monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", dense - 1)
     with pytest.raises(ValueError, match=f"order m = {m} is too large"):
         _de_boor_pyramid(m, shifts, eps)
 
@@ -291,7 +291,7 @@ def test_bspline_network_refuses_an_oversized_pyramid_before_building():
         tracemalloc.stop()
     assert peak < 2 ** 20
     rows = [len(layer) for layer in _pyramid_layers(60, 1, 1e-2)]
-    assert sum(a * b for a, b in zip(rows, [1] + rows)) > MAX_DENSE_ENTRIES
+    assert _dense_entries([1] + rows) > MAX_DENSE_ENTRIES
 
 
 def test_bspline_network_order_one_away_from_jumps():
