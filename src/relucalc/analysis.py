@@ -17,6 +17,7 @@ from .core import (
     _affine_step,
     _interval,
     evaluate_batch,
+    metrics,  # not called here; perfbench's traced runs wrap analysis.metrics
 )
 
 BREAK_MERGE_TOL = 1e-12

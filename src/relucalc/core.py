@@ -426,12 +426,11 @@ def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:
 
 def metrics(net: ReluNetwork) -> NetworkMetrics:
     """Connectivity, depth, width, and weight magnitude of a network."""
-    nonzeros = sum(
-        int(np.count_nonzero(layer.matrix)) + int(np.count_nonzero(layer.bias))
-        for layer in net.layers
-    )
     return NetworkMetrics(
-        connectivity=nonzeros,
+        connectivity=sum(
+            int(np.count_nonzero(layer.matrix)) + int(np.count_nonzero(layer.bias))
+            for layer in net.layers
+        ),
         depth=net.depth,
         width=max(net.dims),
         weight_magnitude=max(map(_magnitude, net.layers)),

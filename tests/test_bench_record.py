@@ -177,3 +177,15 @@ def test_compare_refuses_entries_of_two_sessions(tmp_path, quick_calibration, ca
         assert "not of one" in capsys.readouterr().err
     with pytest.raises(bench_record.RecordError, match="holds entries"):
         bench_record.compare(dest, "abc", "fff")
+
+
+def test_every_function_the_traced_benchmark_wraps_is_a_module_attribute(monkeypatch):
+    # traced runs of perfbench/run.py replace these attributes in place, and
+    # stop with a KeyError at set-up if a module no longer holds one
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    from relubench.layers import layer_targets
+    from relubench.tracing import Tracer
+
+    for owner, attr, _ in layer_targets(Tracer()):
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
