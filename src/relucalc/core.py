@@ -32,7 +32,9 @@ plan keeps the contract because
 - a copy row (single weight 1.0, zero bias) outside layer 0 therefore
   computes (0 + 1 * x[j]) + b == x[j], and is a plain copy of the
   post-ReLU value x[j].  Layer 0 reads raw inputs, where -0.0 would become
-  +0.0, so it has no copy rows.
+  +0.0, so it has no copy rows.  The plan stores a copy row as a term 0
+  write of weight 1.0 after the sparse rows, past the rows that get the
+  bias add and the ReLU.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import os
 import stat
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -208,33 +209,24 @@ class NetworkMetrics:
 CHUNK_POINTS = 8192
 
 
-class _Run(NamedTuple):
-    """Buffer rows r0:r1 of one term, or of a layer's copy rows, and the
-    previous layer's buffer rows src that they read: one row broadcast over
-    the run (stride 0) or r1 - r0 consecutive rows (stride 1)."""
-
-    rows: slice  # r0:r1
-    src: slice
-    # (r1 - r0, 1), or None when no multiply is needed: every weight is 1.0,
-    # or -1.0 in a term after the first, which combine then subtracts
-    weights: np.ndarray | None
-    combine: np.ufunc  # np.add, or np.subtract for a -1.0 run after term 0
-
-
 class _Step(NamedTuple):
     """One layer of the plan, rows in buffer order: sparse rows first, by
     descending nonzero count, then copy rows.
 
-    terms[k] holds the runs of the k-th nonzero (ascending column) of each
-    of the first n_k sparse rows, in buffer order, so that its last run
-    ends at row n_k.  copies holds the runs of the copy rows, with rows
-    counted in the whole layer and weights None.  Both are split into
-    maximal runs by a greedy scan (`_run_bounds`).
+    runs holds the maximal runs (`_run_bounds`) of every term in term
+    order.  Term k takes the k-th nonzero (ascending column) of each of the
+    first n_k sparse rows; a copy row's weight 1.0 is a term 0 entry after
+    them.  A run (r0, r1, s0, s1, weights, combine) reads the previous
+    layer's buffer rows s0:s1 into buffer rows r0:r1: one row broadcast
+    (stride 0) or r1 - r0 consecutive rows (stride 1).  weights is the
+    (r1 - r0, 1) column, or None when every weight is 1.0, or -1.0 after
+    term 0.  combine is None for a term 0 write, else np.add, or
+    np.subtract for a -1.0 run.
     """
 
-    terms: tuple[tuple[_Run, ...], ...]
+    runs: list[tuple]
     bias: np.ndarray  # (sparse rows, 1), -0.0 stored as +0.0
-    copies: tuple[_Run, ...]
+    filled: int  # sparse rows with a nonzero weight
     rows: int
 
 
@@ -266,18 +258,6 @@ def _run_bounds(same: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarr
     start[1:] = ~fits | (turn & (nth % 2 == 0))
     first = np.flatnonzero(start)
     return first, np.concatenate((first, [src.size]))[1:] - 1
-
-
-def _runs(first, last, rows, srcs, weights, combine) -> list[_Run]:
-    """The runs whose first and last entries are first and last; rows and
-    srcs hold the buffer row and the source row of every entry."""
-
-    def slices(index):
-        return map(slice, index[first].tolist(), (index[last] + 1).tolist())
-
-    # tuple.__new__ makes each _Run in C, without a Python-level call
-    fields = zip(slices(rows), slices(srcs), weights, combine)
-    return list(map(tuple.__new__, repeat(_Run), fields))
 
 
 def _compile(net: ReluNetwork) -> _Plan:
@@ -315,41 +295,35 @@ def _compile(net: ReluNetwork) -> _Plan:
     deep = ell > 0
     src[deep] = pos[row_start[ell[deep] - 1] + col[deep]]
 
-    # the sparse rows' nonzeros by (layer, term, buffer row); term k covers
-    # buffer rows 0 .. n_k - 1, so each term starts at row 0
-    sparse = np.flatnonzero(~copy[grow])
-    sparse = sparse[np.lexsort((pos[grow[sparse]], term[sparse], ell[sparse]))]
-    rows, srcs, weights = pos[grow[sparse]], src[sparse], weight[sparse]
-    first, last = _run_bounds(rows[1:] > 0, srcs)
-    minus = np.logical_and.reduceat(weights == -1.0, first) & (term[sparse[first]] > 0)
+    # nonzeros by (layer, term, buffer row); term k covers buffer rows
+    # 0 .. n_k - 1 and the copy rows follow the sparse rows in term 0, so a
+    # run's next entry must be the next buffer row of the same layer
+    at = np.lexsort((pos[grow], term, ell))
+    layer, rows, srcs, weights = ell[at], pos[grow[at]], src[at], weight[at]
+    same = (rows[1:] == rows[:-1] + 1) & (layer[1:] == layer[:-1])
+    first, last = _run_bounds(same, srcs)
+    later = term[at[first]] > 0
+    minus = np.logical_and.reduceat(weights == -1.0, first) & later
     scaled = ~np.logical_and.reduceat(weights == 1.0, first) & ~minus
     column = weights.reshape(-1, 1)
     factors = [
         column[i : j + 1] if m else None
         for i, j, m in zip(first.tolist(), last.tolist(), scaled.tolist())
     ]
-    combine = [np.subtract if m else np.add for m in minus.tolist()]
-    runs = _runs(first, last, rows, srcs, factors, combine)
-    term_start = np.flatnonzero(rows[first] == 0)
-    term_cut = term_start.tolist() + [len(runs)]
-    terms = [tuple(runs[a:b]) for a, b in zip(term_cut, term_cut[1:])]
-    term_layer = ell[sparse[first[term_start]]]
-    layer_terms = np.searchsorted(term_layer, np.arange(depth + 1)).tolist()
-
-    copy_rows = np.flatnonzero(copy)
-    copy_layer, copy_pos = row_layer[copy_rows], pos[copy_rows]
-    copy_src = src[np.searchsorted(grow, copy_rows)]
-    first, last = _run_bounds(copy_layer[1:] == copy_layer[:-1], copy_src)
-    copies = _runs(first, last, copy_pos, copy_src, repeat(None), repeat(np.add))
-    layer_copies = np.searchsorted(copy_layer[first], np.arange(depth + 1)).tolist()
-    n_sparse = out_dims - np.bincount(copy_layer, minlength=depth)
+    ops = (None, np.add, np.subtract)  # write, add, subtract
+    combine = map(ops.__getitem__, (later.astype(int) + minus).tolist())
+    ends = (rows[first], rows[last] + 1, srcs[first], srcs[last] + 1)
+    runs = list(zip(*(end.tolist() for end in ends), factors, combine))
+    cut = np.searchsorted(layer[first], np.arange(depth + 1)).tolist()
+    n_sparse = out_dims - np.bincount(row_layer[copy], minlength=depth)
+    filled = np.bincount(row_layer[(count > 0) & ~copy], minlength=depth).tolist()
     ordered_bias = (bias[order] + 0.0).reshape(-1, 1)  # -0.0 becomes +0.0
 
     steps = tuple(
         _Step(
-            terms=tuple(terms[layer_terms[i] : layer_terms[i + 1]]),
+            runs=runs[cut[i] : cut[i + 1]],
             bias=ordered_bias[row_start[i] : row_start[i] + n_sparse[i]],
-            copies=tuple(copies[layer_copies[i] : layer_copies[i + 1]]),
+            filled=filled[i],
             rows=int(out_dims[i]),
         )
         for i in range(depth)
@@ -364,25 +338,21 @@ def _affine_step(step: _Step, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -
     layer, n) -> out (step.rows, n).  Every source is a basic slice of h.
     tmp holds the products of the runs after the first term, so it needs as
     many rows as the longest of them; the plan's scratch, the widest term
-    after the first, is enough."""
+    after the first, is enough.  Copy rows get no bias add."""
+    for r0, r1, s0, s1, weights, combine in step.runs:
+        head, x = out[r0:r1], h[s0:s1]
+        if combine is None:  # term 0 starts the sum
+            if weights is None:
+                head[...] = x
+            else:
+                np.multiply(x, weights, out=head)
+            continue
+        if weights is not None:
+            x = np.multiply(x, weights, out=tmp[: r1 - r0])
+        combine(head, x, out=head)
     acc = out[: len(step.bias)]
-    for k, runs in enumerate(step.terms):
-        for rows, src, weights, combine in runs:
-            head, x = acc[rows], h[src]
-            if not k:  # term 0 starts the sum
-                if weights is None:
-                    head[...] = x
-                else:
-                    np.multiply(x, weights, out=head)
-                continue
-            if weights is not None:
-                x = np.multiply(x, weights, out=tmp[: len(weights)])
-            combine(head, x, out=head)
-    filled = step.terms[0][-1].rows.stop if step.terms else 0
-    acc[filled:].fill(0.0)  # rows with no nonzero weight
+    acc[step.filled :].fill(0.0)  # rows with no nonzero weight
     np.add(acc, step.bias, out=acc)
-    for rows, src, _, _ in step.copies:
-        out[rows] = h[src]
 
 
 def evaluate_batch(net: ReluNetwork, xs) -> np.ndarray:

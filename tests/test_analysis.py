@@ -243,8 +243,9 @@ def test_dead_rows_numbers_rows_as_the_layers_do():
         ]
     )
     step = net._plan.steps[1]
-    assert [run.rows for run in step.copies] == [slice(2, 3)]
-    assert [run.rows for run in step.terms[1]] == [slice(0, 1)]
+    copies = [run[:2] for run in step.runs if run[0] >= len(step.bias)]
+    assert copies == [(2, 3)]
+    assert [run[:2] for run in step.runs if run[5] is not None] == [(0, 1)]
     assert dead_rows(net, (-1.0, 6.0)) == [(1, 2)]
     assert dead_rows(net) == [(1, 2)]
     # on (-1, 2) the copy's source is 0 too

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from relucalc import (
     write_network,
 )
 from relucalc import core
-from relucalc.constructors import cosine_network
+from relucalc.constructors import cosine_network, weierstrass_network
 from relucalc.quantcode import (
     decode,
     encode,
@@ -321,7 +323,7 @@ def test_plan_scratch_is_the_widest_term_after_the_first(key):
     # plan's scratch rows are enough and give what plan.width rows give
     net = BUILDS[key]()
     plan = net._plan
-    widths = [runs[-1].rows.stop for step in plan.steps for runs in step.terms[1:]]
+    widths = [run[1] for step in plan.steps for run in step.runs if run[5] is not None]
     assert plan.scratch == max(widths, default=0)
     n = 64
     h = np.random.default_rng(0).uniform(-2.0, 2.0, (net.in_dim, n))
@@ -331,6 +333,23 @@ def test_plan_scratch_is_the_widest_term_after_the_first(key):
         core._affine_step(step, h, wide, np.empty((plan.width, n)))
         assert np.array_equal(tight.view(np.uint64), wide.view(np.uint64))
         h = np.maximum(tight, 0.0)
+
+
+def test_compile_tracks_one_object_per_run():
+    # each run is one tuple of ints, a weight column or None, and a ufunc
+    # or None, so a deep plan gives the cyclic collector little to scan
+    net = weierstrass_network(0.4, 3, 1, 1e-1)
+    net._plan  # numpy's first calls cache objects of their own
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        plan = core._compile(net)
+        made = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    runs = sum(len(step.runs) for step in plan.steps)
+    assert made <= runs + 3 * net.depth
 
 
 def assert_bitwise_column_sequential(net, xs):
@@ -408,6 +427,13 @@ def run_plan_nets():
     for i, c in enumerate((3, 4, 5, 0, 0)):
         last[2 + i, c] = 1.0
     negate = ([[-1.0], [-1.0], [-1.0]], [z, 0.0, 0.5])
+    # layer 1 has no nonzero weight in its sparse row, so its copy rows
+    # come right after layer 0's one row in the run order
+    boundary = [
+        ([[1.0, 0.0]], [0.25]),
+        ([[0.0], [1.0], [1.0]], [0.0, 0.0, 0.0]),
+        ([[-1.0, 0.0, -1.0]], [0.0]),
+    ]
     return [
         network([wide, mix]),
         network(
@@ -418,31 +444,40 @@ def run_plan_nets():
             ]
         ),
         network([negate]),
+        network(boundary),
     ]
 
 
-def run_kind(k, run):
-    rows, src, weights, combine = run
-    if rows.stop - rows.start == 1:
-        stride = "one"
-    else:
-        stride = "0" if src.stop - src.start == 1 else "1"
-    if weights is None:
-        factor = "skip" if combine is np.add else "subtract"
-    elif np.all(weights == -1.0):
-        factor = "-1"
-    else:
-        factor = "mixed" if np.any(weights != weights[0]) else "uniform"
-    return ("first" if k == 0 else "later", stride, factor)
+def run_kinds(step):
+    """The (term, stride, factor) kind of every run of a plan step.  Each
+    term starts at buffer row 0, and a copy row's run is a write at or past
+    the sparse rows."""
+    k = -1
+    for r0, r1, s0, s1, weights, combine in step.runs:
+        k += r0 == 0
+        if r0 >= len(step.bias):
+            term = "copy"
+        else:
+            term = "later" if k > 0 else "first"
+        if r1 - r0 == 1:
+            stride = "one"
+        else:
+            stride = "0" if s1 - s0 == 1 else "1"
+        if weights is None:
+            factor = "subtract" if combine is np.subtract else "skip"
+        elif np.all(weights == -1.0):
+            factor = "-1"
+        else:
+            factor = "mixed" if np.any(weights != weights[0]) else "uniform"
+        yield term, stride, factor
 
 
 def test_run_plan_nets_cover_every_run_kind():
     kinds = set()
     for net in run_plan_nets():
         for step in net._plan.steps:
-            for k, runs in enumerate(step.terms):
-                kinds |= {run_kind(k, run) for run in runs}
-            kinds |= {("copy",) + run_kind(0, run)[1:] for run in step.copies}
+            assert all(run[1] <= step.rows for run in step.runs)
+            kinds |= set(run_kinds(step))
     first = {("first", s, f) for s in "01" for f in ("skip", "-1", "mixed")}
     later = {("later", s, f) for s in ("0", "1", "one") for f in ("skip", "subtract")}
     later |= {("later", s, "mixed") for s in "01"}
