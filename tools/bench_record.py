@@ -41,6 +41,18 @@ ratio change / parent, which within one session is the same raw or
 calibrated.  The mean is over the distinct calibrations the two entries
 store.  Entries of different sessions, or without one, are refused: their
 medians measure different host states.
+
+To compare a parent and a change at the same seeds, run each commit in its
+own checkout: `perfbench/run.py` writes
+`perfbench/out/result-<workload>-seed<seed>-trace<t>.json` with no commit
+in the name, so two commits run in one checkout overwrite each other's
+results.  Alternate the two sides, and after each run copy its result into
+one shared --out-dir under a name of its own that still matches
+`result-*.json`, such as `result-<side>-<workload>-seed<seed>-trace<t>.json`;
+`load` takes each run's commit from its `environment.git_commit`, not from
+the file name.  Run --calibrate on that directory right before the first run
+and right after the last, then record each commit with --commit and
+--compare the two.
 """
 
 from __future__ import annotations
