@@ -4,6 +4,8 @@ Exact network calculus, explicit approximating constructions, weight
 quantization with a bit-exact codec, and piecewise-linear analysis tools.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     AffineLayer,
     DimensionError,
@@ -33,4 +35,8 @@ from .calculus import (
     sum_finite_width,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -10,6 +10,8 @@ rounding of an approximation, keeps its row, so every output bit is the
 one the full construction gives, everywhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     multiply_network,
     multiply_refinement_steps,
@@ -52,4 +54,8 @@ from .textures import (
     weierstrass_terms,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -64,14 +64,8 @@ def square_interpolant_network(m: int) -> ReluNetwork:
     if m < 1:
         raise ValueError("need at least one refinement step")
     layers = [AffineLayer([[1.0], [1.0], [1.0]], [0.0, -0.5, 0.0])]
-    for ell in range(2, m + 1):
-        layers.append(
-            AffineLayer(
-                [[0.5, -1.0, 0.0], [0.5, -1.0, 0.0], [-0.5, 1.0, 1.0]],
-                [0.0, -(2.0 ** (-2 * ell + 1)), 0.0],
-            )
-        )
-    layers.append(AffineLayer([[-0.5, 1.0, 1.0]], [0.0]))
+    layers += [_mult_layer(ell, _SQUARE, _SQUARE) for ell in range(3, m + 2)]
+    layers.append(AffineLayer([_MULT_OUT[list(_SQUARE)]], [0.0]))
     return ReluNetwork(tuple(layers))
 
 
@@ -96,7 +90,9 @@ def multiply_refinement_steps(half_width: float, eps: float) -> int:
 
 # The multiplier's layers at D = 1: the input layer on (x, y), the split
 # into the channels (s1, s2, h1, h2, acc), the refinement layer and the
-# output row (bias -1).  See multiply_network.
+# output row (bias -1).  See multiply_network.  square_interpolant_network
+# is the branch on _SQUARE of the refinement layers and output row, with
+# output bias 0: its acc starts at x, with no +1 shift to remove.
 _MULT_IN = np.array([[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5]])
 _MULT_SPLIT = np.array(
     [

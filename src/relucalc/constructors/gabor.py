@@ -90,8 +90,6 @@ def _clamp_above(threshold: float) -> ReluNetwork:
             AffineLayer([[1.0, -1.0]], [0.0]),
         )
     )
-    if s == 1.0:
-        return split
     return compose(_scalar_mult(s, 1, nonnegative=True), split)
 
 

@@ -213,10 +213,10 @@ class _Step(NamedTuple):
     """One layer of the plan, rows in buffer order: sparse rows first, by
     descending nonzero count, then copy rows.
 
-    runs holds the maximal runs (`_run_bounds`) of every term in term
-    order.  Term k takes the k-th nonzero (ascending column) of each of the
-    first n_k sparse rows; a copy row's weight 1.0 is a term 0 entry after
-    them.  A run (r0, r1, s0, s1, weights, combine) reads the previous
+    runs holds the runs (`_run_bounds`) of every term in term order.
+    Term k takes the k-th nonzero (ascending column) of each of the first
+    n_k sparse rows; a copy row's weight 1.0 is a term 0 entry after them.
+    A run (r0, r1, s0, s1, weights, combine) reads the previous
     layer's buffer rows s0:s1 into buffer rows r0:r1: one row broadcast
     (stride 0) or r1 - r0 consecutive rows (stride 1).  weights is the
     (r1 - r0, 1) column, or None when every weight is 1.0, or -1.0 after
@@ -240,22 +240,15 @@ class _Plan(NamedTuple):
 def _run_bounds(same: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split entries into runs: the index of each run's first and last entry.
 
-    Scanning in order, a run takes the next entry while it is in the run's
-    group (same[i] says whether entries i and i + 1 are) and its source
-    steps by the run's stride, 0 or 1, which the run's first step sets.
+    A run's source steps by one stride, 0 or 1: a run starts where the group
+    ends (same[i]: entries i and i + 1 share one), where a step is not 0 or
+    1, and where one follows a step of the other stride in the group.
     """
     step = src[1:] - src[:-1]
     fits = same & ((step == 0) | (step == 1))
-    turn = np.zeros(fits.size, dtype=bool)  # a fitting step after one of another stride
-    turn[1:] = fits[1:] & fits[:-1] & (step[1:] != step[:-1])
-    # a turn ends its run unless the step before it ended one, so in a chain
-    # of turns every other one ends a run, the first one included
-    lead = turn.copy()  # the first turn of each chain
-    lead[1:] &= ~turn[:-1]
-    at = np.arange(turn.size)
-    nth = at - np.maximum.accumulate(np.where(lead, at, 0))
     start = np.ones(src.size, dtype=bool)
-    start[1:] = ~fits | (turn & (nth % 2 == 0))
+    start[1:] = ~fits
+    start[2:] |= fits[:-1] & (step[1:] != step[:-1])
     first = np.flatnonzero(start)
     return first, np.concatenate((first, [src.size]))[1:] - 1
 

@@ -154,6 +154,22 @@ def test_square_shape_and_magnitude():
         assert net.depth == square_refinement_steps(eps) + 1
 
 
+def test_square_interpolant_is_the_multiplier_branch():
+    # the squaring chain written out layer by layer, as the multiplier's
+    # branch (s1, h1, acc) tabulates it
+    for m in range(1, 13):
+        layers = [([[1.0], [1.0], [1.0]], [0.0, -0.5, 0.0])]
+        for ell in range(2, m + 1):
+            layers.append(
+                (
+                    [[0.5, -1.0, 0.0], [0.5, -1.0, 0.0], [-0.5, 1.0, 1.0]],
+                    [0.0, -(2.0 ** (-2 * ell + 1)), 0.0],
+                )
+            )
+        layers.append(([[-0.5, 1.0, 1.0]], [0.0]))
+        assert square_interpolant_network(m) == network(layers)
+
+
 # --- multiplication --------------------------------------------------------------
 
 
@@ -300,17 +316,26 @@ def test_polynomial_depth_formula(coeffs, half_width, eps):
     assert polynomial_network(coeffs, half_width, eps).depth == depth
 
 
-def test_star_import_exports_every_constructor():
+def public_names(package):
     import inspect
 
-    import relucalc.constructors as package
-
-    public = {
+    return {
         name
         for name, value in vars(package).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert public <= set(package.__all__)
+
+
+def test_star_import_exports_every_constructor():
+    import relucalc.constructors as package
+
+    assert set(package.__all__) == public_names(package)
+
+
+def test_star_import_exports_the_package_api():
+    import relucalc as package
+
+    assert set(package.__all__) == public_names(package)
 
 
 @pytest.mark.parametrize(

@@ -344,6 +344,19 @@ def test_error_report_rejects_several_outputs():
         error_report(net, lambda x: x * x, (0.0, 1.0), 1001)
 
 
+def test_error_report_rejects_a_domain_of_other_dimension():
+    net = network([([[1.0]], [0.0])])
+    with pytest.raises(DimensionError, match="domain has 2 axes, network expects 1"):
+        error_report(net, lambda x: x, [(0.0, 1.0), (0.0, 1.0)], 11)
+
+
+def test_error_report_rejects_a_one_point_grid():
+    net = network([([[1.0]], [0.0])])
+    with pytest.raises(ValueError, match="need at least two grid points") as caught:
+        error_report(net, lambda x: x, (0.0, 1.0), 1)
+    assert caught.type is ValueError
+
+
 def _listed_error_report(net, reference, domain, grid_n):
     # error_report as it was when it built its reference values as a list
     boxes, axes, pts = analysis._eval_grid(net, domain, grid_n)

@@ -180,6 +180,14 @@ def test_serialization_rejects_truncation(tmp_path, hat_net):
         read_network(path)
 
 
+def test_serialization_rejects_trailing_tokens(tmp_path, hat_net):
+    path = tmp_path / "net.txt"
+    write_network(hat_net, path)
+    path.write_text(path.read_text() + "0x0.0p+0\n")
+    with pytest.raises(NetworkFormatError, match="trailing tokens in network file"):
+        read_network(path)
+
+
 _TOKENS = st.one_of(
     st.integers(-3, 6).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(float.hex),
@@ -358,31 +366,32 @@ def assert_bitwise_column_sequential(net, xs):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def greedy_runs(same, src):
-    """Reference split: scan each group and extend a run while its source
-    keeps the stride, 0 or 1, that the run's first step set."""
-    first, last, i = [], [], 0
-    while i < len(src):
-        j, stride = i, None
-        while j + 1 < len(src) and same[j] and src[j + 1] - src[j] in (0, 1):
-            if stride is None:
-                stride = src[j + 1] - src[j]
-            elif src[j + 1] - src[j] != stride:
-                break
-            j += 1
-        first.append(i)
-        last.append(j)
-        i = j + 1
-    return first, last
+def plain_runs(same, src):
+    """Reference split: scan the entries and start a run at the first, where
+    the group ends, where the source steps by anything but 0 or 1, and where
+    a step of 0 or 1 follows, in the same group, a step of the other one."""
+    first, prev = [], None  # prev: the step before, if it stays in the group
+    for i in range(len(src)):
+        step = src[i] - src[i - 1] if i else None
+        fits = i > 0 and same[i - 1] and step in (0, 1)
+        if not fits or (prev is not None and step != prev):
+            first.append(i)
+        prev = step if fits else None
+    return first, [j - 1 for j in first[1:]] + [len(src) - 1] * bool(src)
 
 
-def test_run_bounds_match_a_greedy_scan():
+def test_run_bounds_match_a_plain_scan():
     rng = np.random.default_rng(27)
     for n in list(range(6)) * 20 + [200] * 20:
         src = np.cumsum(rng.choice([0, 1, 1, -1, 3], n)) if n else np.zeros(0, int)
         same = rng.random(max(n - 1, 0)) < 0.9
         first, last = core._run_bounds(same, src)
-        assert (first.tolist(), last.tolist()) == greedy_runs(same, src.tolist())
+        assert (first.tolist(), last.tolist()) == plain_runs(same, src.tolist())
+    # steps 1, 0, 1, 0: each step after the first starts a run, although a
+    # greedy scan would let the run at entry 2 take entry 3 as well
+    src = np.array([0, 1, 1, 2, 2])
+    first, last = core._run_bounds(np.ones(4, dtype=bool), src)
+    assert first.tolist() == [0, 2, 3, 4] == plain_runs([True] * 4, src.tolist())[0]
 
 
 def run_plan_nets():

@@ -361,6 +361,15 @@ def test_bitstring_fields_at_any_alignment(fields):
         assert BitString.from_bytes(bytes(ones)) == bits
 
 
+def test_bitstring_refuses_what_it_cannot_hold():
+    with pytest.raises(CodecError, match="missing bit-count header"):
+        BitString.from_bytes(b"\x00" * 7)
+    with pytest.raises(CodecError, match="bitstring truncated"):
+        BitString.from_bytes((16).to_bytes(8, "big") + b"\xff")
+    with pytest.raises(CodecError, match="value 4 does not fit in 2 bits"):
+        BitString().append_uint(4, 2)
+
+
 # --- codec ---------------------------------------------------------------------------
 
 
@@ -480,6 +489,14 @@ def test_decode_rejects_truncation(hat_net):
         decode(clipped, m, 0.25)
 
 
+def test_decode_rejects_a_trailing_bit(hat_net):
+    quant, m = quantize_network(hat_net, 2, 1.0, 0.25)
+    bits = encode(quant, m, 0.25)
+    bits.append_uint(0, 1)
+    with pytest.raises(CodecError, match="^1 trailing bits after decode$"):
+        decode(bits, m, 0.25)
+
+
 def test_decode_rejects_short_string_before_allocating():
     # header of a 4000 x 4000 layer with no edges and no weights: about 7 KB
     # of bits that would need a 128 MB dense matrix
@@ -579,6 +596,13 @@ def test_raw_bits_are_what_encode_emits():
 def test_decode_accepts_only_what_encode_emits(conn, dims, children, weights, match):
     with pytest.raises(CodecError, match=match):
         decode(raw_bits(conn, dims, children, weights), 2, 0.25)
+
+
+def test_decode_rejects_a_weight_on_an_input_node():
+    # the first weight field, the input node's, reads offset + 1
+    bits = raw_bits(5, (1, 2, 1), FAN_121, [1 / 16] + WEIGHTS_121[1:])
+    with pytest.raises(CodecError, match="input nodes must carry zero node weights"):
+        decode(bits, 2, 0.25)
 
 
 @given(st.lists(st.integers(0, 1), max_size=600))
