@@ -377,7 +377,7 @@ def plain_runs(same, src):
         if not fits or (prev is not None and step != prev):
             first.append(i)
         prev = step if fits else None
-    return first, [j - 1 for j in first[1:]] + [len(src) - 1] * bool(src)
+    return first, [j - 1 for j in first[1:]] + ([len(src) - 1] if src else [])
 
 
 def test_run_bounds_match_a_plain_scan():
